@@ -2,7 +2,8 @@
 
 Exit codes: 0 all good, 2 usage or parse error, 3 resource limit,
 4 verification failure.  BOOLGB_CAPS=pairs=...,basis=...,points=...
-overrides the default caps; command-line flags override both.
+overrides the default caps; command-line flags override both.  Every cap
+is a positive integer; anything else is a usage error.
 """
 
 import argparse
@@ -50,6 +51,7 @@ class Caps:
 
     @classmethod
     def from_env(cls) -> "Caps":
+        """Caps from BOOLGB_CAPS; raises ValueError on a malformed entry."""
         caps = cls()
         raw = os.environ.get("BOOLGB_CAPS", "")
         for part in raw.split(","):
@@ -57,9 +59,29 @@ class Caps:
             if not part:
                 continue
             key, _, value = part.partition("=")
-            if key in ("pairs", "basis", "points") and value.isdigit():
-                setattr(caps, key, int(value))
+            key = key.strip()
+            if key not in ("pairs", "basis", "points"):
+                raise ValueError(f"BOOLGB_CAPS: unknown cap {key!r}")
+            setattr(caps, key, _positive_int(value.strip(), f"BOOLGB_CAPS {key}"))
         return caps
+
+
+def _positive_int(text: str, what: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"{what} must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _cap_flag(text: str) -> int:
+    """argparse type of the --max-* flags."""
+    try:
+        return _positive_int(text, "cap")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+class EngineDisagreementError(Exception):
+    """The full and boolean engines returned different bases."""
 
 
 @dataclass
@@ -122,7 +144,7 @@ def _with_field_polys(F: GeneratorSet) -> GeneratorSet:
                                           for f in F.polynomials], F.order)
 
 
-def _boolean_as_full(basis, n, order, caps: Caps):
+def _boolean_as_full(basis, n, order):
     """Lift a boolean basis, adjoin field polynomials, interreduce in full mode."""
     lifted = [to_full(f) for f in basis.elements]
     combined = groebner.GroebnerBasis(
@@ -155,7 +177,7 @@ def cmd_gb(cfg: RunConfig, input_path: str) -> int:
         elif cfg.engine == "both":
             full_basis, stats = _reduced_basis(_with_field_polys(F), cfg.caps)
             bool_basis, _ = _reduced_basis(_boolean_input(F), cfg.caps)
-            lifted = _boolean_as_full(bool_basis, F.n, cfg.order, cfg.caps)
+            lifted = _boolean_as_full(bool_basis, F.n, cfg.order)
             if lifted.as_set() != full_basis.as_set():
                 sys.stderr.write("error: full and boolean engines disagree\n")
                 return EXIT_VERIFY
@@ -214,7 +236,7 @@ def _verify_checks(cfg: RunConfig):
         basis, _ = _reduced_basis(H, caps)
         if cfg.engine in ("boolean", "both"):
             bool_basis, _ = _reduced_basis(_boolean_input(H), caps)
-            lifted = _boolean_as_full(bool_basis, n, order, caps)
+            lifted = _boolean_as_full(bool_basis, n, order)
             if cfg.engine == "boolean":
                 basis = lifted
             elif lifted.as_set() != basis.as_set():
@@ -269,14 +291,15 @@ def _bench_record(n: int, cfg: RunConfig) -> construction.GrowthRecord:
     try:
         if cfg.engine == "boolean":
             bool_basis, _ = _reduced_basis(_boolean_input(H), caps)
-            basis = _boolean_as_full(bool_basis, n, order, caps)
+            basis = _boolean_as_full(bool_basis, n, order)
         else:
             basis, _ = _reduced_basis(H, caps)
             if cfg.engine == "both":
                 bool_basis, _ = _reduced_basis(_boolean_input(H), caps)
-                lifted = _boolean_as_full(bool_basis, n, order, caps)
+                lifted = _boolean_as_full(bool_basis, n, order)
                 if lifted.as_set() != basis.as_set():
-                    raise ResourceLimitError("engine disagreement")
+                    raise EngineDisagreementError(
+                        f"full and boolean engines disagree at n={n}")
         gb_count = len(basis)
     except ResourceLimitError:
         pass
@@ -302,7 +325,11 @@ def cmd_bench(cfg: RunConfig) -> int:
     if cfg.n_max < cfg.n:
         sys.stderr.write("error: --n-max must be >= --n\n")
         return EXIT_USAGE
-    records = [_bench_record(n, cfg) for n in range(cfg.n, cfg.n_max + 1)]
+    try:
+        records = [_bench_record(n, cfg) for n in range(cfg.n, cfg.n_max + 1)]
+    except EngineDisagreementError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VERIFY
     if cfg.fmt == "json":
         payload = [
             {
@@ -387,8 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="deglex", help="monomial order")
         p.add_argument("--engine", choices=("full", "boolean", "both"),
                        default="full", help="ring engine")
-        p.add_argument("--max-pairs", type=int, default=None)
-        p.add_argument("--max-basis", type=int, default=None)
+        p.add_argument("--max-pairs", type=_cap_flag, default=None)
+        p.add_argument("--max-basis", type=_cap_flag, default=None)
         p.add_argument("--out", default=None, help="output path (atomic write)")
         p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
                        default=None)
@@ -426,9 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     caps = Caps.from_env()
-    if getattr(args, "max_pairs", None):
+    if args.max_pairs is not None:
         caps.pairs = args.max_pairs
-    if getattr(args, "max_basis", None):
+    if args.max_basis is not None:
         caps.basis = args.max_basis
     cfg = RunConfig(
         command=args.command,
@@ -447,7 +474,11 @@ def _config_from_args(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    try:
+        cfg = _config_from_args(args)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     if cfg.command in ("gen", "verify", "bench") and cfg.n < 1:
         sys.stderr.write("error: --n must be >= 1\n")
         return EXIT_USAGE

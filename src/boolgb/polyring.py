@@ -228,6 +228,8 @@ class Polynomial:
             if len(m) != nvars:
                 raise ValueError(
                     f"monomial {m} has {len(m)} exponents, ring has {nvars}")
+            if m and min(m) < 0:
+                raise ValueError(f"monomial {m} has a negative exponent")
             if mode == BOOLEAN and any(e > 1 for e in m):
                 raise ValueError(
                     f"boolean-mode monomial must be squarefree: {format_mono(m)}")

@@ -364,3 +364,53 @@ def test_gb_full_engine_on_boolean_file(tmp_path, capsys):
     basis = load_basis(out.read_text())
     assert basis.mode == "full"
     assert len(basis) == 21
+
+
+# ---------------------------------------------------------------------------
+# exit codes at the boundaries
+
+@pytest.mark.parametrize("document", [
+    '{"n": 1, "mode": "full", "order": "deglex", "elements": [[[[99, 1]]]]}',
+    '{"n": 1, "mode": "full", "order": "deglex"}',
+    '{"n": 1, "mode": "full", "order": "deglex", "elements": [[[[0, -1]]]]}',
+    '{"n": 1, "mode": "boolean", "order": "deglex", "elements": [[[[0, 2]]]]}',
+    '{"n": 1, "mode": "full", "order": "lex", "elements": [[[[0, 1]]]]}',
+])
+@pytest.mark.parametrize("command", ["nf", "member"])
+def test_malformed_basis_dump_exit_2(tmp_path, capsys, command, document):
+    path = tmp_path / "bad.json"
+    path.write_text(document)
+    rc, stdout, stderr = run(capsys, command, "x1", str(path))
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("caps", ["pairs=abc", "basis=-5", "pairs=0", "pairs=5,bogus=1"])
+def test_malformed_caps_env_exit_2(tmp_path, capsys, monkeypatch, caps):
+    monkeypatch.setenv("BOOLGB_CAPS", caps)
+    rc, _, stderr = run(capsys, "gb", write_h(tmp_path, 2))
+    assert rc == 2
+    assert "BOOLGB_CAPS" in stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_nonpositive_cap_flag_exit_2(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["gb", write_h(tmp_path, 2), "--max-pairs", value])
+    assert exc.value.code == 2
+    assert "--max-pairs" in capsys.readouterr().err
+
+
+def test_bench_engine_disagreement_exit_4(capsys, monkeypatch):
+    import boolgb.cli as cli
+    lift = cli._boolean_as_full
+
+    def dropped(basis, n, order):
+        lifted = lift(basis, n, order)
+        return GroebnerBasis(lifted.elements[1:], order, reduced=True)
+
+    monkeypatch.setattr(cli, "_boolean_as_full", dropped)
+    rc, _, stderr = run(capsys, "bench", "--n", "2", "--engine", "both")
+    assert rc == 4
+    assert "disagree" in stderr

@@ -7,10 +7,13 @@ import pytest
 from boolgb import (
     BOOLEAN,
     DEGLEX,
+    DEGREVLEX,
     FULL,
+    BasisFormatError,
     GeneratorSet,
     GroebnerBasis,
     NotAGroebnerBasisError,
+    Polynomial,
     ResourceLimitError,
     ZeroPolynomialError,
     buchberger,
@@ -208,6 +211,7 @@ def test_is_groebner_basis_small_cases():
 
 
 def test_is_reduced_basis_boundary():
+    assert is_reduced_basis([], DEGLEX) and is_groebner_basis([], DEGLEX)
     assert is_reduced_basis(list(make_G(4).polynomials), DEGLEX)
     assert not is_reduced_basis(list(make_G(1).polynomials), DEGLEX)
     assert not is_reduced_basis([P("x1"), P("x1+y1")], DEGLEX)
@@ -362,3 +366,48 @@ def test_boolean_mode_predicates():
     basis = interreduce(raw)
     assert is_groebner_basis(list(basis.elements), DEGLEX)
     assert is_reduced_basis(list(basis.elements), DEGLEX)
+
+
+# ---------------------------------------------------------------------------
+# load_basis validation
+
+def _dump(elements, n=1, mode=FULL, order="deglex"):
+    import json
+    return json.dumps({"n": n, "mode": mode, "order": order, "elements": elements})
+
+
+@pytest.mark.parametrize("text, message", [
+    (_dump([[[[99, 1]]]]), "element 0 breaks"),
+    ('{"n": 1, "mode": "full", "order": "deglex"}', "KeyError"),
+    (_dump([[[[0, -1]]]]), "element 0 breaks"),
+    (_dump([[[[0, 1]]]], mode="fancy"), "mode='fancy'"),
+    (_dump([[[[0, 1]]]], order="lex"), "unknown order"),
+    (_dump([[[[0, 2]]]], mode=BOOLEAN), "element 0 breaks"),
+    # x1 + x1*y1 listed lowest term first: not the declared deglex order
+    (_dump([[[[0, 1]], [[0, 1], [1, 1]]]]), "element 0 breaks"),
+    (_dump([[[[0, 1], [0, 1]]]]), "element 0 breaks"),
+    (_dump([[[[0, 1]]], []]), "element 1 breaks"),
+    (_dump([]), "0 elements"),
+    (_dump([[[[0, 1]]]], n=0), "n=0"),
+    (_dump([[[[0, 1]]]], n=10 ** 21), "n=10"),
+    (_dump([[[[0, 1.5]]]]), "element 0 breaks"),
+    ("[1, 2]", "not a basis dump"),
+    ("{not json", "not a basis dump"),
+])
+def test_load_basis_rejects_malformed_documents(text, message):
+    with pytest.raises(BasisFormatError, match=message):
+        load_basis(text)
+
+
+def test_load_basis_accepts_degrevlex_boolean_dump():
+    basis = interreduce(buchberger(make_H(2, BOOLEAN, DEGREVLEX))[0])
+    assert load_basis(dump_basis(basis)).as_set() == basis.as_set()
+
+
+def test_negative_exponents_never_reach_the_engine():
+    # packed fields would read -1 as a divisible exponent; at the seed
+    # normal_form(x1^-1, [x1]) left the term alone
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial({(-1, 0, 0)}, 3)
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial({(0, 0, 1), (0, -2, 1)}, 3, BOOLEAN)
