@@ -11,11 +11,7 @@ from .polyring import (
     BOOLEAN,
     DEGLEX,
     DEGREVLEX,
-    EQ,
     FULL,
-    GT,
-    LT,
-    DivisionError,
     ModeMismatchError,
     MonomialOrder,
     ParseError,
@@ -27,17 +23,10 @@ from .polyring import (
     format_poly,
     get_order,
     leading_monomial,
-    mono_cmp,
-    mono_degree,
-    mono_div,
     mono_divides,
-    mono_exponents,
     mono_lcm,
     mono_mul,
     mono_one,
-    mono_support,
-    mono_var,
-    num_vars,
     parse_poly,
     poly_add,
     poly_mul,
@@ -58,7 +47,6 @@ from .groebner import (
     ResourceLimitError,
     buchberger,
     dump_basis,
-    groebner_basis,
     ideal_membership,
     interreduce,
     is_groebner_basis,
@@ -68,8 +56,6 @@ from .groebner import (
     s_polynomial,
 )
 from .construction import (
-    GrowthRecord,
-    InstanceParams,
     NotZeroDimensionalError,
     count_standard_monomials,
     input_bitsize,
@@ -90,7 +76,6 @@ from .construction import (
 from .oracle import (
     ArityMismatchError,
     FieldPolysMissingError,
-    SolutionSet,
     TooManyVariablesError,
     dump_solutions,
     enumerate_solutions,

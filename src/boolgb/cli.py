@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import construction, groebner, oracle
 from .groebner import (
+    MAX_FILE_N,
     GeneratorSet,
     ResourceLimitError,
     buchberger,
@@ -29,7 +30,6 @@ from .groebner import (
 from .polyring import (
     BOOLEAN,
     FULL,
-    ParseError,
     format_poly,
     get_order,
     parse_poly,
@@ -84,22 +84,8 @@ class EngineDisagreementError(Exception):
     """The full and boolean engines returned different bases."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 0
-    n_max: int = 0
-    mode: str = FULL
-    order_scheme: str = "deglex"
-    engine: str = "full"
-    caps: Caps = None
-    out: str = None
-    fmt: str = "text"
-    verbose: int = 0
-
-    @property
-    def order(self):
-        return get_order(self.order_scheme)
+class VanishingInputError(ValueError):
+    """A generator file whose generators are all zero in the Boolean quotient."""
 
 
 def _atomic_write(path: str, text: str):
@@ -123,17 +109,12 @@ def _emit(text: str, out: str):
         sys.stdout.write(text)
 
 
-def _reduced_basis(F: GeneratorSet, caps: Caps):
-    raw, stats = buchberger(F, max_pairs=caps.pairs, max_basis=caps.basis)
-    return interreduce(raw), stats
-
-
 def _boolean_input(F: GeneratorSet) -> GeneratorSet:
     """Image of F in the Boolean quotient (field polynomials vanish)."""
     images = [to_boolean(f) for f in F.polynomials]
     images = [f for f in images if not f.is_zero]
     if not images:
-        raise ValueError("all generators vanish in the Boolean quotient")
+        raise VanishingInputError("all generators vanish in the Boolean quotient")
     return GeneratorSet(images, F.order)
 
 
@@ -152,60 +133,67 @@ def _boolean_as_full(basis, n, order):
     return interreduce(combined)
 
 
+def _reduced_basis(F: GeneratorSet, engine: str, caps: Caps):
+    """Reduced basis and engine stats of (F) under one --engine choice.
+
+    'full' works in the full ring (a Boolean F is lifted and gets the
+    field polynomials); 'boolean' returns the Boolean-mode basis of the
+    image of F in the quotient; 'both' returns the full basis of F plus
+    the field polynomials and raises EngineDisagreementError unless the
+    lifted Boolean basis equals it.
+    """
+    def run(E):
+        raw, stats = buchberger(E, max_pairs=caps.pairs, max_basis=caps.basis)
+        return interreduce(raw), stats
+
+    if engine == "boolean":
+        return run(_boolean_input(F))
+    if engine == "full":
+        return run(F if F.mode == FULL else _with_field_polys(F))
+    basis, stats = run(_with_field_polys(F))
+    bool_basis, _ = run(_boolean_input(F))
+    if _boolean_as_full(bool_basis, F.n, F.order).as_set() != basis.as_set():
+        raise EngineDisagreementError(f"full and boolean engines disagree at n={F.n}")
+    return basis, stats
+
+
+def _full_basis(F: GeneratorSet, engine: str, caps: Caps):
+    """The reduced basis of F in the full ring; a Boolean one is lifted."""
+    basis, _ = _reduced_basis(F, engine, caps)
+    return _boolean_as_full(basis, F.n, F.order) if engine == "boolean" else basis
+
+
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_gen(cfg: RunConfig, family: str) -> int:
-    F = construction.make_family(family, cfg.n, cfg.mode, cfg.order)
-    text = construction.format_generator_file(F)
-    _emit(text, cfg.out)
-    report = f"family={family} n={cfg.n} count={len(F)}\n"
-    (sys.stdout if cfg.out else sys.stderr).write(report)
+def cmd_gen(args, caps: Caps) -> int:
+    if args.n > MAX_FILE_N:
+        sys.stderr.write(f"error: --n must be <= {MAX_FILE_N}, the largest n "
+                         f"a generator file may declare\n")
+        return EXIT_USAGE
+    F = construction.make_family(args.family, args.n, args.mode, args.order)
+    _emit(construction.format_generator_file(F), args.out)
+    report = f"family={args.family} n={args.n} count={len(F)}\n"
+    (sys.stdout if args.out else sys.stderr).write(report)
     return EXIT_OK
 
 
-def cmd_gb(cfg: RunConfig, input_path: str) -> int:
+def cmd_gb(args, caps: Caps) -> int:
     try:
-        F = construction.load_generators(input_path, cfg.order)
-    except (ParseError, ValueError, OSError) as exc:
+        F = construction.load_generators(args.input, args.order)
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-
-    try:
-        if cfg.engine == "boolean":
-            basis, stats = _reduced_basis(_boolean_input(F), cfg.caps)
-        elif cfg.engine == "both":
-            full_basis, stats = _reduced_basis(_with_field_polys(F), cfg.caps)
-            bool_basis, _ = _reduced_basis(_boolean_input(F), cfg.caps)
-            lifted = _boolean_as_full(bool_basis, F.n, cfg.order)
-            if lifted.as_set() != full_basis.as_set():
-                sys.stderr.write("error: full and boolean engines disagree\n")
-                return EXIT_VERIFY
-            basis = full_basis
-        else:
-            if F.mode == BOOLEAN:
-                # full-ring presentation of a quotient ideal: lift the
-                # generators and adjoin the field polynomials
-                F = _with_field_polys(F)
-            basis, stats = _reduced_basis(F, cfg.caps)
-    except ResourceLimitError as exc:
-        sys.stderr.write(f"resource limit: {exc}\n")
-        if exc.stats is not None:
-            sys.stderr.write(exc.stats.as_block() + "\n")
-        return EXIT_RESOURCE
-
-    _emit(dump_basis(basis) + "\n", cfg.out)
-    if cfg.verbose:
+    basis, stats = _reduced_basis(F, args.engine, caps)
+    _emit(dump_basis(basis) + "\n", args.out)
+    if args.verbose:
         sys.stderr.write(stats.as_block(basis_size=len(basis)) + "\n")
     return EXIT_OK
 
 
-def _verify_checks(cfg: RunConfig):
+def _verify_checks(args, caps: Caps):
     """Run the four identity checks for one n; yields (id, status, detail)."""
-    n = cfg.n
-    order = cfg.order
-    caps = cfg.caps
-
+    n, order = args.n, args.order
     H = construction.make_H(n, FULL, order)
     try:
         G = construction.make_G(n, FULL, order)
@@ -233,28 +221,23 @@ def _verify_checks(cfg: RunConfig):
 
     # V3: engine output equals the unique reduced basis; count matches 6n+3^n
     try:
-        basis, _ = _reduced_basis(H, caps)
-        if cfg.engine in ("boolean", "both"):
-            bool_basis, _ = _reduced_basis(_boolean_input(H), caps)
-            lifted = _boolean_as_full(bool_basis, n, order)
-            if cfg.engine == "boolean":
-                basis = lifted
-            elif lifted.as_set() != basis.as_set():
-                yield ("V3", "FAIL", "full and boolean engines disagree")
-                return
-        expected = interreduce(
-            groebner.GroebnerBasis(list(G.polynomials), order, reduced=False))
-        same = basis.as_set() == expected.as_set()
-        size_ok = len(basis) == construction.predicted_gb_size(n)
-        if n > 1:
-            yield ("V3", "PASS" if (same and size_ok) else "FAIL",
-                   f"|GB(H)| = {len(basis)}, predicted {construction.predicted_gb_size(n)}")
-        else:
-            yield ("V3", "PASS" if (same and not size_ok) else "FAIL",
-                   f"|GB(H)| = {len(basis)} != 9 at n=1, flagged EXPECTED")
+        basis = _full_basis(H, args.engine, caps)
     except ResourceLimitError as exc:
         yield ("V3", "SKIPPED", str(exc))
         return
+    except EngineDisagreementError as exc:
+        yield ("V3", "FAIL", str(exc))
+        return
+    expected = interreduce(
+        groebner.GroebnerBasis(list(G.polynomials), order, reduced=False))
+    same = basis.as_set() == expected.as_set()
+    size_ok = len(basis) == construction.predicted_gb_size(n)
+    if n > 1:
+        yield ("V3", "PASS" if (same and size_ok) else "FAIL",
+               f"|GB(H)| = {len(basis)}, predicted {construction.predicted_gb_size(n)}")
+    else:
+        yield ("V3", "PASS" if (same and not size_ok) else "FAIL",
+               f"|GB(H)| = {len(basis)} != 9 at n=1, flagged EXPECTED")
 
     # V4: standard-monomial count == solution count == 4^n - 3^n
     try:
@@ -268,39 +251,26 @@ def _verify_checks(cfg: RunConfig):
         yield ("V4", "SKIPPED", str(exc))
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = list(_verify_checks(cfg))
-    if cfg.fmt == "json":
+def cmd_verify(args, caps: Caps) -> int:
+    results = list(_verify_checks(args, caps))
+    if args.fmt == "json":
         payload = [{"check": cid, "status": status, "detail": detail}
                    for cid, status, detail in results]
-        _emit(json.dumps({"n": cfg.n, "results": payload}) + "\n", cfg.out)
+        _emit(json.dumps({"n": args.n, "results": payload}) + "\n", args.out)
     else:
         lines = [f"{cid} {status}: {detail}" for cid, status, detail in results]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     if any(status == "FAIL" for _, status, _ in results):
         return EXIT_VERIFY
     return EXIT_OK
 
 
-def _bench_record(n: int, cfg: RunConfig) -> construction.GrowthRecord:
-    order = cfg.order
-    caps = cfg.caps
-    H = construction.make_H(n, FULL, order)
+def _bench_record(n: int, args, caps: Caps) -> construction.GrowthRecord:
+    H = construction.make_H(n, FULL, args.order)
     gb_count = None
     start = time.perf_counter()
     try:
-        if cfg.engine == "boolean":
-            bool_basis, _ = _reduced_basis(_boolean_input(H), caps)
-            basis = _boolean_as_full(bool_basis, n, order)
-        else:
-            basis, _ = _reduced_basis(H, caps)
-            if cfg.engine == "both":
-                bool_basis, _ = _reduced_basis(_boolean_input(H), caps)
-                lifted = _boolean_as_full(bool_basis, n, order)
-                if lifted.as_set() != basis.as_set():
-                    raise EngineDisagreementError(
-                        f"full and boolean engines disagree at n={n}")
-        gb_count = len(basis)
+        gb_count = len(_full_basis(H, args.engine, caps))
     except ResourceLimitError:
         pass
     wall = time.perf_counter() - start
@@ -321,16 +291,13 @@ def _bench_record(n: int, cfg: RunConfig) -> construction.GrowthRecord:
     )
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if cfg.n_max < cfg.n:
+def cmd_bench(args, caps: Caps) -> int:
+    n_max = args.n if args.n_max is None else args.n_max
+    if n_max < args.n:
         sys.stderr.write("error: --n-max must be >= --n\n")
         return EXIT_USAGE
-    try:
-        records = [_bench_record(n, cfg) for n in range(cfg.n, cfg.n_max + 1)]
-    except EngineDisagreementError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VERIFY
-    if cfg.fmt == "json":
+    records = [_bench_record(n, args, caps) for n in range(args.n, n_max + 1)]
+    if args.fmt == "json":
         payload = [
             {
                 "n": r.n, "inputCount": r.input_count,
@@ -344,57 +311,56 @@ def cmd_bench(cfg: RunConfig) -> int:
             }
             for r in records
         ]
-        _emit(json.dumps(payload) + "\n", cfg.out)
+        _emit(json.dumps(payload) + "\n", args.out)
     else:
         lines = [construction.GrowthRecord.CSV_HEADER]
         lines.extend(r.csv_row() for r in records)
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     if any(r.gb_count is None for r in records):
         return EXIT_RESOURCE
     return EXIT_OK
 
 
-def _load_basis_file(path: str):
-    with open(path, "r") as fh:
-        return load_basis(fh.read())
+def _load_query(args):
+    """The basis dump and the polynomial of an nf or member command."""
+    with open(args.basis, "r") as fh:
+        basis = load_basis(fh.read())
+    return basis, parse_poly(args.poly, basis.n, basis.mode)
 
 
-def cmd_nf(cfg: RunConfig, poly_text: str, basis_path: str) -> int:
+def cmd_nf(args, caps: Caps) -> int:
     try:
-        basis = _load_basis_file(basis_path)
-        f = parse_poly(poly_text, basis.n, basis.mode)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+        basis, f = _load_query(args)
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     r = normal_form(f, basis)
-    _emit(format_poly(r, basis.order) + "\n", cfg.out)
+    _emit(format_poly(r, basis.order) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_member(cfg: RunConfig, poly_text: str, basis_path: str,
-               use_oracle: bool = False) -> int:
+def cmd_member(args, caps: Caps) -> int:
     try:
-        basis = _load_basis_file(basis_path)
-        f = parse_poly(poly_text, basis.n, basis.mode)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+        basis, f = _load_query(args)
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     member = normal_form(f, basis).is_zero
     line = f"member={'true' if member else 'false'}"
-    if use_oracle:
+    if args.oracle:
         F = GeneratorSet(list(basis.elements), basis.order)
         try:
-            by_eval = oracle.membership_by_evaluation(f, F, max_bits=cfg.caps.points)
+            by_eval = oracle.membership_by_evaluation(f, F, max_bits=caps.points)
         except oracle.FieldPolysMissingError as exc:
             line += " oracle=unavailable"
             sys.stderr.write(f"note: {exc}\n")
         else:
             line += f" oracle={'true' if by_eval else 'false'}"
             if by_eval != member:
-                _emit(line + "\n", cfg.out)
+                _emit(line + "\n", args.out)
                 sys.stderr.write("error: oracle disagrees with normal form\n")
                 return EXIT_VERIFY
-    _emit(line + "\n", cfg.out)
+    _emit(line + "\n", args.out)
     return EXIT_OK
 
 
@@ -418,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-basis", type=_cap_flag, default=None)
         p.add_argument("--out", default=None, help="output path (atomic write)")
         p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
-                       default=None)
+                       default="text")
         p.add_argument("-v", "--verbose", action="count", default=0)
 
     p = sub.add_parser("gen", help="write a generator family file")
@@ -451,56 +417,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    caps = Caps.from_env()
-    if args.max_pairs is not None:
-        caps.pairs = args.max_pairs
-    if args.max_basis is not None:
-        caps.basis = args.max_basis
-    cfg = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", 0) or 0,
-        n_max=getattr(args, "n_max", 0) or 0,
-        mode=getattr(args, "mode", FULL),
-        order_scheme=args.order,
-        engine=args.engine,
-        caps=caps,
-        out=args.out,
-        fmt=args.fmt or "text",
-        verbose=args.verbose,
-    )
-    return cfg
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    args.order = get_order(args.order)
     try:
-        cfg = _config_from_args(args)
+        caps = Caps.from_env()
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    if cfg.command in ("gen", "verify", "bench") and cfg.n < 1:
+    caps.pairs = args.max_pairs or caps.pairs
+    caps.basis = args.max_basis or caps.basis
+    if getattr(args, "n", 1) < 1:
         sys.stderr.write("error: --n must be >= 1\n")
         return EXIT_USAGE
+    commands = {"gen": cmd_gen, "gb": cmd_gb, "verify": cmd_verify,
+                "bench": cmd_bench, "nf": cmd_nf, "member": cmd_member}
     try:
-        if cfg.command == "gen":
-            return cmd_gen(cfg, args.family)
-        if cfg.command == "gb":
-            return cmd_gb(cfg, args.input)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "bench":
-            if not cfg.n_max:
-                cfg.n_max = cfg.n
-            return cmd_bench(cfg)
-        if cfg.command == "nf":
-            return cmd_nf(cfg, args.poly, args.basis)
-        if cfg.command == "member":
-            return cmd_member(cfg, args.poly, args.basis, use_oracle=args.oracle)
+        return commands[args.command](args, caps)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
+        if exc.stats is not None:
+            sys.stderr.write(exc.stats.as_block() + "\n")
         return EXIT_RESOURCE
-    return EXIT_USAGE
+    except EngineDisagreementError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VERIFY
+    except VanishingInputError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

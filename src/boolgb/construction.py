@@ -19,15 +19,20 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .groebner import GeneratorSet, GroebnerBasis, ResourceLimitError
+from .groebner import (
+    MAX_FILE_N,
+    GeneratorSet,
+    GroebnerBasis,
+    ResourceLimitError,
+    _Packing,
+)
 from .polyring import (
     DEGLEX,
     FULL,
+    MODES,
     MonomialOrder,
     Polynomial,
     format_poly,
-    mono_divides,
-    mono_support,
     mono_var,
     num_vars,
     parse_poly,
@@ -40,15 +45,6 @@ DEFAULT_MAX_N = 12
 
 class NotZeroDimensionalError(ValueError):
     """Standard-monomial counting needs a pure-power leading monomial per variable."""
-
-
-@dataclass(frozen=True)
-class InstanceParams:
-    """Parameters of one generator-family instance."""
-
-    n: int
-    mode: str = FULL
-    order: MonomialOrder = DEGLEX
 
 
 @dataclass
@@ -234,7 +230,7 @@ def predicted_solution_count(n: int) -> int:
     return 4 ** n - 3 ** n
 
 
-def count_standard_monomials(G: GroebnerBasis, n: Optional[int] = None) -> int:
+def count_standard_monomials(G: GroebnerBasis) -> int:
     """Number of monomials divisible by no leading monomial of G.
 
     Requires a pure-power leading monomial c^k for every variable (the
@@ -258,16 +254,12 @@ def count_standard_monomials(G: GroebnerBasis, n: Optional[int] = None) -> int:
         raise NotZeroDimensionalError(
             f"no pure-power leading monomial for variable(s) {missing}; "
             f"cannot bound the quotient")
-    lm_data = [(mono_support(lm), lm) for lm in lms]
-    count = 0
-    for cand in itertools.product(*(range(b) for b in bounds)):
-        csup = mono_support(cand)
-        for mask, lm in lm_data:
-            if mask & csup == mask and mono_divides(lm, cand):
-                break
-        else:
-            count += 1
-    return count
+    # packed fields wide enough for the box's largest degree and every lm
+    pk = _Packing(nvars, FULL, G.order, max(sum(bounds) - nvars, *map(sum, lms)))
+    divisors = [pk.pack(lm) for lm in lms]
+    first_divisor, pack = pk.first_divisor, pk.pack
+    return sum(first_divisor(divisors, pack(cand)) < 0
+               for cand in itertools.product(*(range(b) for b in bounds)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +277,42 @@ def format_generator_file(F: GeneratorSet) -> str:
 
 
 def parse_generator_file(text: str, order: MonomialOrder = DEGLEX) -> GeneratorSet:
-    """Read a generator-set file produced by save_generators."""
-    n = None
-    mode = None
+    """Read a generator-set file produced by save_generators.
+
+    Raises ValueError unless n (in 1..MAX_FILE_N) and a known mode are set
+    by '#' header lines before the first polynomial, and no later header
+    gives n or mode a different value.
+    """
+    header = {}
     polys = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("#"):
-            fields = dict(
-                part.split("=", 1) for part in stripped[1:].split() if "=" in part)
-            if "n" in fields:
-                n = int(fields["n"])
-            if "mode" in fields:
-                mode = fields["mode"]
+            for part in stripped[1:].split():
+                key, sep, value = part.partition("=")
+                if not sep or key not in ("n", "mode"):
+                    continue
+                if key == "n":
+                    value = int(value) if value.isdecimal() else 0
+                    valid = 1 <= value <= MAX_FILE_N
+                else:
+                    valid = value in MODES
+                if not valid:
+                    raise ValueError(
+                        f"line {lineno}: bad header field {part!r} (n must be "
+                        f"in 1..{MAX_FILE_N}, mode one of {', '.join(MODES)})")
+                if header.setdefault(key, value) != value:
+                    raise ValueError(
+                        f"line {lineno}: header field {part!r} disagrees with "
+                        f"the first header ({key}={header[key]})")
             continue
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
-        if n is None or mode is None:
+        if len(header) < 2:
             raise ValueError(
                 f"line {lineno}: polynomial before '# n=<n> mode=<mode>' header")
-        polys.append(parse_poly(body, n, mode))
+        polys.append(parse_poly(body, header["n"], header["mode"]))
     if not polys:
         raise ValueError("generator file contains no polynomials")
     return GeneratorSet(polys, order)

@@ -65,9 +65,9 @@ from .polyring import mono_divides, mono_lcm  # noqa: F401
 
 DEFAULT_MAX_PAIRS = 10 ** 6
 DEFAULT_MAX_BASIS = 10 ** 5
-# largest n a basis dump may declare: every monomial becomes a dense
-# tuple of 3n exponents
-_MAX_DUMP_N = 1000
+# largest n a generator file or basis dump may declare: every monomial
+# becomes a dense tuple of 3n exponents
+MAX_FILE_N = 1000
 
 
 class ResourceLimitError(RuntimeError):
@@ -696,13 +696,6 @@ def ideal_membership(f: Polynomial, G: GroebnerBasis) -> bool:
     return normal_form(f, G).is_zero
 
 
-def groebner_basis(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
-                   max_basis: int = DEFAULT_MAX_BASIS, strict: bool = False):
-    """Reduced Groebner basis of (F): buchberger followed by interreduce."""
-    raw, stats = buchberger(F, max_pairs=max_pairs, max_basis=max_basis)
-    return interreduce(raw, strict=strict), stats
-
-
 # ---------------------------------------------------------------------------
 # basis dump format
 
@@ -728,7 +721,7 @@ def load_basis(text: str) -> GroebnerBasis:
     """Parse and validate a dump_basis document.
 
     Raises BasisFormatError unless the text is a JSON object with an
-    integer n in 1.._MAX_DUMP_N, a known mode and order, and a nonempty list of
+    integer n in 1..MAX_FILE_N, a known mode and order, and a nonempty list of
     nonempty elements whose monomials are lists of [varFlat, exp] pairs
     (each variable in 0..3n-1 at most once, exp >= 1, and exp == 1 in
     boolean mode) listed strictly descending under the declared order.
@@ -741,7 +734,7 @@ def load_basis(text: str) -> GroebnerBasis:
         order = get_order(payload["order"])
     except (ValueError, TypeError, KeyError) as exc:
         raise BasisFormatError(f"not a basis dump: {exc!r}") from None
-    if not (_is_int(n) and 1 <= n <= _MAX_DUMP_N and mode in MODES
+    if not (_is_int(n) and 1 <= n <= MAX_FILE_N and mode in MODES
             and isinstance(elements, list) and elements):
         raise BasisFormatError(
             f"bad basis dump header: n={n!r}, mode={mode!r}, "

@@ -20,16 +20,9 @@ MODES = (FULL, BOOLEAN)
 
 KINDS = ("x", "y", "z")
 
-# return values of mono_cmp
-LT, EQ, GT = -1, 0, 1
-
 
 class ModeMismatchError(ValueError):
     """Operands live in different ring modes (or different variable counts)."""
-
-
-class DivisionError(ArithmeticError):
-    """Monomial quotient requested where the divisor does not divide."""
 
 
 class ZeroPolynomialError(ValueError):
@@ -102,15 +95,6 @@ def mono_var(flat: int, nvars: int, exp: int = 1):
     return tuple(m)
 
 
-def mono_degree(m) -> int:
-    return sum(m)
-
-
-def mono_exponents(m):
-    """Sparse view: list of (flat, exp) pairs with exp > 0, flat ascending."""
-    return [(i, e) for i, e in enumerate(m) if e]
-
-
 def mono_support(m) -> int:
     """Bitmask of variables occurring in m (bit i = flat variable i)."""
     mask = 0
@@ -132,13 +116,6 @@ def mono_divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(b, a):
-    """Quotient b/a; raises DivisionError when a does not divide b."""
-    if not mono_divides(a, b):
-        raise DivisionError(f"{format_mono(a)} does not divide {format_mono(b)}")
-    return tuple(y - x for x, y in zip(a, b))
-
-
 def mono_lcm(a, b):
     """Least common multiple: per-variable max of exponents."""
     return tuple(map(max, a, b))
@@ -155,7 +132,7 @@ class MonomialOrder:
     degrevlex looks at the last variable where the monomials differ and
     ranks the one with the *smaller* exponent there higher.  `key`
     returns a tuple that sorts ascending in the order (so max(key) is
-    the leading monomial); `negkey` sorts descending.
+    the leading monomial).
     """
 
     __slots__ = ("scheme",)
@@ -172,11 +149,6 @@ class MonomialOrder:
         if self.scheme == self.DEGLEX:
             return (sum(m), m)
         return (sum(m), tuple(-e for e in reversed(m)))
-
-    def negkey(self, m):
-        if self.scheme == self.DEGLEX:
-            return (-sum(m), tuple(-e for e in m))
-        return (-sum(m), tuple(reversed(m)))
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.scheme == other.scheme
@@ -195,16 +167,6 @@ DEGREVLEX = MonomialOrder(MonomialOrder.DEGREVLEX)
 def get_order(name: str) -> MonomialOrder:
     """Look up an order by scheme name ('deglex' or 'degrevlex')."""
     return MonomialOrder(name)
-
-
-def mono_cmp(order: MonomialOrder, a, b) -> int:
-    """Compare monomials under the order: LT (-1), EQ (0) or GT (+1)."""
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return LT
-    if ka > kb:
-        return GT
-    return EQ
 
 
 # ---------------------------------------------------------------------------

@@ -402,7 +402,8 @@ def test_nonpositive_cap_flag_exit_2(tmp_path, capsys, value):
     assert "--max-pairs" in capsys.readouterr().err
 
 
-def test_bench_engine_disagreement_exit_4(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["gb", "verify", "bench"])
+def test_engine_disagreement_exit_4(tmp_path, capsys, monkeypatch, command):
     import boolgb.cli as cli
     lift = cli._boolean_as_full
 
@@ -411,6 +412,54 @@ def test_bench_engine_disagreement_exit_4(capsys, monkeypatch):
         return GroebnerBasis(lifted.elements[1:], order, reduced=True)
 
     monkeypatch.setattr(cli, "_boolean_as_full", dropped)
-    rc, _, stderr = run(capsys, "bench", "--n", "2", "--engine", "both")
+    target = [write_h(tmp_path, 2)] if command == "gb" else ["--n", "2"]
+    rc, stdout, stderr = run(capsys, command, *target, "--engine", "both")
     assert rc == 4
-    assert "disagree" in stderr
+    assert "disagree" in (stdout if command == "verify" else stderr)
+
+
+def test_verify_boolean_engine_runs_only_the_boolean_engine(capsys, monkeypatch):
+    import boolgb.cli as cli
+    modes = []
+    engine = cli.buchberger
+
+    def recorded(F, **kwargs):
+        modes.append(F.mode)
+        return engine(F, **kwargs)
+
+    monkeypatch.setattr(cli, "buchberger", recorded)
+    rc, stdout, _ = run(capsys, "verify", "--n", "2", "--engine", "boolean")
+    assert rc == 0, stdout
+    assert modes == ["boolean"]
+
+
+@pytest.mark.parametrize("text", [
+    "# n=0 mode=full\n1\n",
+    "# n=1001 mode=full\nx1\n",
+    "# n=two mode=full\nx1\n",
+    "# n=1 mode=lex\nx1\n",
+    "# n=1 mode=full\n# mode=boolean\nx1\n",
+    "# n=1 mode=full\nx1\n# n=2 mode=full\n",
+])
+def test_bad_generator_header_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.gens"
+    path.write_text(text)
+    rc, stdout, stderr = run(capsys, "gb", str(path))
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+
+
+def test_gen_n_beyond_file_bound_exit_2(capsys):
+    rc, stdout, stderr = run(capsys, "gen", "--family", "L", "--n", "1001")
+    assert rc == 2
+    assert stdout == ""
+    assert "1000" in stderr
+
+
+def test_gb_boolean_engine_all_generators_vanish_exit_2(tmp_path, capsys):
+    path = tmp_path / "field.gens"
+    path.write_text("# n=1 mode=full\nx1^2+x1\n")
+    rc, _, stderr = run(capsys, "gb", str(path), "--engine", "boolean")
+    assert rc == 2
+    assert "vanish" in stderr

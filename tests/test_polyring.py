@@ -8,11 +8,7 @@ from boolgb import (
     BOOLEAN,
     DEGLEX,
     DEGREVLEX,
-    EQ,
     FULL,
-    GT,
-    LT,
-    DivisionError,
     ModeMismatchError,
     UnknownVariableError,
     ParseError,
@@ -21,8 +17,6 @@ from boolgb import (
     ZeroPolynomialError,
     format_poly,
     leading_monomial,
-    mono_cmp,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -100,15 +94,12 @@ def test_mono_mul_disjoint_supports():
     assert mono_mul(a, b, BOOLEAN) == want
 
 
-def test_mono_divides_and_div():
+def test_mono_divides():
     x = mono(1, x1=1)
     x2 = mono(1, x1=2)
     assert mono_divides(x, x2)
-    assert mono_div(x2, x) == x
     assert not mono_divides(mono(1, x1=1, y1=1), mono(1, x1=1, z1=1))
     assert mono_divides(mono_one(3), mono(1, x1=2, z1=1))
-    with pytest.raises(DivisionError):
-        mono_div(mono(1, y1=1), mono(1, x1=1))
 
 
 def test_mono_lcm():
@@ -125,13 +116,13 @@ def test_cmp_degree_first_both_schemes():
     xy = mono(1, x1=1, y1=1)
     z = mono(1, z1=1)
     for order in (DEGLEX, DEGREVLEX):
-        assert mono_cmp(order, xy, z) == GT
-        assert mono_cmp(order, z, xy) == LT
+        assert order.key(xy) > order.key(z)
+        assert order.key(z) < order.key(xy)
 
 
 def test_cmp_deglex_priority():
-    assert mono_cmp(DEGLEX, mono(1, x1=1), mono(1, y1=1)) == GT
-    assert mono_cmp(DEGLEX, mono(1, x1=1), mono(1, x1=1)) == EQ
+    assert DEGLEX.key(mono(1, x1=1)) > DEGLEX.key(mono(1, y1=1))
+    assert DEGLEX.key(mono(1, x1=1)) == DEGLEX.key(mono(1, x1=1))
 
 
 def test_cmp_schemes_differ_on_textbook_example():
@@ -139,8 +130,8 @@ def test_cmp_schemes_differ_on_textbook_example():
     # degrevlex by the smallest exponent on the last variable (y1^2 higher).
     xz = mono(1, x1=1, z1=1)
     yy = mono(1, y1=2)
-    assert mono_cmp(DEGLEX, xz, yy) == GT
-    assert mono_cmp(DEGREVLEX, xz, yy) == LT
+    assert DEGLEX.key(xz) > DEGLEX.key(yy)
+    assert DEGREVLEX.key(xz) < DEGREVLEX.key(yy)
 
 
 def test_cmp_is_total_order_and_multiplicative():
@@ -151,18 +142,19 @@ def test_cmp_is_total_order_and_multiplicative():
         b = random_mono(rng, nvars)
         c = random_mono(rng, nvars)
         for order in (DEGLEX, DEGREVLEX):
-            # antisymmetry / totality
-            assert mono_cmp(order, a, b) == -mono_cmp(order, b, a)
-            assert (mono_cmp(order, a, b) == EQ) == (a == b)
+            ka, kb = order.key(a), order.key(b)
+            # antisymmetry / totality: exactly one of <, ==, > holds
+            assert [ka < kb, ka == kb, ka > kb].count(True) == 1
+            assert (ka == kb) == (a == b)
             # degree compatibility
             if sum(a) < sum(b):
-                assert mono_cmp(order, a, b) == LT
+                assert ka < kb
             # multiplicativity (full-ring product)
-            if mono_cmp(order, a, b) == LT:
-                assert mono_cmp(order, mono_mul(a, c), mono_mul(b, c)) == LT
+            if ka < kb:
+                assert order.key(mono_mul(a, c)) < order.key(mono_mul(b, c))
             # 1 is minimal
             if sum(a):
-                assert mono_cmp(order, mono_one(nvars), a) == LT
+                assert order.key(mono_one(nvars)) < ka
 
 
 def test_cmp_transitive_on_sorted_sample():
@@ -171,7 +163,7 @@ def test_cmp_transitive_on_sorted_sample():
     for order in (DEGLEX, DEGREVLEX):
         ordered = sorted(monos, key=order.key)
         for a, b in zip(ordered, ordered[1:]):
-            assert mono_cmp(order, a, b) in (LT, EQ)
+            assert order.key(a) <= order.key(b)
 
 
 # ---------------------------------------------------------------------------
