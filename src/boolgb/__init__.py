@@ -76,6 +76,7 @@ from .construction import (
 from .oracle import (
     ArityMismatchError,
     FieldPolysMissingError,
+    SolutionFormatError,
     TooManyVariablesError,
     dump_solutions,
     enumerate_solutions,

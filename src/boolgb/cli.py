@@ -241,7 +241,7 @@ def _verify_checks(args, caps: Caps):
 
     # V4: standard-monomial count == solution count == 4^n - 3^n
     try:
-        std = construction.count_standard_monomials(basis)
+        std = construction.count_standard_monomials(basis, max_bits=caps.points)
         sols = len(oracle.enumerate_solutions(H, max_bits=caps.points))
         predicted = construction.predicted_solution_count(n)
         ok = std == sols == predicted
@@ -444,6 +444,9 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     except VanishingInputError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except OSError as exc:  # commands catch their own read errors
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
         return EXIT_USAGE
 
 

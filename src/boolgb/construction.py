@@ -16,6 +16,7 @@ reduced total-degree Groebner basis of that ideal, so the input of size
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,8 +25,8 @@ from .groebner import (
     GeneratorSet,
     GroebnerBasis,
     ResourceLimitError,
-    _Packing,
 )
+from .oracle import DEFAULT_MAX_BITS, TooManyVariablesError, _mono_table, exponent_table
 from .polyring import (
     DEGLEX,
     FULL,
@@ -230,13 +231,17 @@ def predicted_solution_count(n: int) -> int:
     return 4 ** n - 3 ** n
 
 
-def count_standard_monomials(G: GroebnerBasis) -> int:
+def count_standard_monomials(G: GroebnerBasis,
+                             max_bits: int = DEFAULT_MAX_BITS) -> int:
     """Number of monomials divisible by no leading monomial of G.
 
     Requires a pure-power leading monomial c^k for every variable (the
     ideal is zero-dimensional with per-variable bound k); candidates are
-    enumerated inside the resulting exponent box.  For the H and G
-    families every bound is 2, giving 2^(3n) squarefree candidates.
+    the box of exponents below the bounds, bit-sliced: the box size minus
+    the popcount of the OR over leading monomials of the AND of their
+    factors' exponent tables.  Raises TooManyVariablesError when the box
+    has more than 2^max_bits monomials.  For the H and G families every
+    bound is 2, giving 2^(3n) squarefree candidates.
     """
     nvars = G.nvars
     lms = G.leading_monomials()
@@ -254,12 +259,18 @@ def count_standard_monomials(G: GroebnerBasis) -> int:
         raise NotZeroDimensionalError(
             f"no pure-power leading monomial for variable(s) {missing}; "
             f"cannot bound the quotient")
-    # packed fields wide enough for the box's largest degree and every lm
-    pk = _Packing(nvars, FULL, G.order, max(sum(bounds) - nvars, *map(sum, lms)))
-    divisors = [pk.pack(lm) for lm in lms]
-    first_divisor, pack = pk.first_divisor, pk.pack
-    return sum(first_divisor(divisors, pack(cand)) < 0
-               for cand in itertools.product(*(range(b) for b in bounds)))
+    box = math.prod(bounds)
+    if (box - 1).bit_length() > max_bits:
+        raise TooManyVariablesError(
+            f"the box of {box} candidate monomials exceeds the "
+            f"{max_bits}-bit cap")
+    everything = (1 << box) - 1
+    factors = {(v, e) for lm in lms for v, e in enumerate(lm) if e}
+    tables = {key: exponent_table(bounds, *key) for key in factors}
+    divisible = 0
+    for lm in lms:
+        divisible |= _mono_table(lm, lambda v, e: tables[v, e], everything)
+    return box - divisible.bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Brute-force ground truth over F2^(3n).
 
 Points are encoded as integers: bit i carries the value of the flat
-variable i.  Enumeration scans all 2^(3n) points, so it is the
+variable i.  Enumeration covers all 2^(3n) points, so it is the
 independent oracle against which the algebraic engine is checked, valid
 whenever the generator set contains (or, in boolean mode, implies) every
 field polynomial — then all solutions over the algebraic closure are
-already F2-valued and exhaustive scan sees the whole solution set.
+already F2-valued and exhaustive scan sees the whole solution set.  It is
+bit-sliced (Biham, FSE 1997): a truth table over all points is one int.
 """
+
+import math
 
 from .groebner import GeneratorSet
 from .polyring import BOOLEAN, FULL, Polynomial, mono_support, mono_var
@@ -26,35 +29,48 @@ class FieldPolysMissingError(ValueError):
     """Evaluation-based membership is unsound without all field polynomials."""
 
 
+class SolutionFormatError(ValueError):
+    """A solution dump that does not follow the documented format."""
+
+
 class SolutionSet:
-    """A set of F2^(3n) points stored as bit-encoded integers."""
+    """A set of F2^(3n) points held as one bitmap: bit p is set when the
+    point with mask p (bit i = flat variable i) is in the set."""
 
-    __slots__ = ("masks", "n")
+    __slots__ = ("bits", "n")
 
-    def __init__(self, masks, n: int):
-        self.masks = frozenset(masks)
+    def __init__(self, *, bits: int, n: int):
+        self.bits = bits
         self.n = n
+
+    @property
+    def masks(self):
+        """The point masks in ascending order, decoded from the bitmap."""
+        data = self.bits.to_bytes((self.bits.bit_length() + 7) // 8, "little")
+        return [8 * i + j for i, byte in enumerate(data) if byte
+                for j in range(8) if byte >> j & 1]
 
     def points(self):
         """Decode to 0/1 tuples of length 3n, sorted by encoding."""
         nv = 3 * self.n
-        return [tuple((p >> i) & 1 for i in range(nv)) for p in sorted(self.masks)]
+        return [tuple((p >> i) & 1 for i in range(nv)) for p in self.masks]
 
     def __len__(self):
-        return len(self.masks)
+        return self.bits.bit_count()
 
     def __eq__(self, other):
         return (isinstance(other, SolutionSet)
-                and self.n == other.n and self.masks == other.masks)
+                and self.n == other.n and self.bits == other.bits)
 
     def __hash__(self):
-        return hash((self.masks, self.n))
+        return hash((self.bits, self.n))
 
     def __contains__(self, point):
-        return _point_mask(point, 3 * self.n) in self.masks
+        p = _point_mask(point, 3 * self.n)
+        return p >= 0 and (self.bits >> p) & 1 == 1
 
     def __repr__(self):
-        return f"SolutionSet({len(self.masks)} points, n={self.n})"
+        return f"SolutionSet({len(self)} points, n={self.n})"
 
 
 def _point_mask(point, nvars: int) -> int:
@@ -86,41 +102,63 @@ def evaluate(f: Polynomial, point) -> int:
     return value
 
 
+def exponent_table(bounds, v: int, e: int) -> int:
+    """Truth table of 'exponent of v >= e' over the box of exponent vectors
+    below bounds, vector (e_u) being point sum(e_u * prod(bounds[:u])).
+    With every bound 2 the box is the oracle's F2^nvars and e = 1 gives
+    the truth table of variable v."""
+    stride = math.prod(bounds[:v])
+    period = stride * bounds[v]
+    size = period * math.prod(bounds[v + 1:])
+    table = ((1 << stride * max(bounds[v] - e, 0)) - 1) << stride * e
+    while period < size:  # doubling, then cut back to the box
+        table |= table << period
+        period *= 2
+    return table & ((1 << size) - 1)
+
+
+def _mono_table(m, table_of, everything: int) -> int:
+    """Truth table of monomial m: the AND of table_of(v, e) over its factors."""
+    t = everything
+    for v, e in enumerate(m):
+        if e:
+            t &= table_of(v, e)
+    return t
+
+
+def _poly_table(f: Polynomial, tables, everything: int) -> int:
+    """Truth table of f: the XOR of its terms' tables (exponents do not
+    matter on {0,1})."""
+    value = 0
+    for m in f.terms:
+        value ^= _mono_table(m, lambda v, e: tables[v], everything)
+    return value
+
+
+def _solution_bitmap(F: GeneratorSet, max_bits: int):
+    """The solution bitmap of F, with the variables' truth tables over
+    F2^nvars and the all-ones table it was built from."""
+    nvars = F.nvars
+    if nvars > max_bits:
+        raise TooManyVariablesError(
+            f"{nvars} variables exceed the {max_bits}-bit enumeration cap")
+    bounds = (2,) * nvars
+    tables = [exponent_table(bounds, v, 1) for v in range(nvars)]
+    everything = alive = (1 << (1 << nvars)) - 1
+    for f in F.polynomials:
+        alive &= ~_poly_table(f, tables, everything)
+    return alive, tables, everything
+
+
 def enumerate_solutions(F: GeneratorSet, max_bits: int = DEFAULT_MAX_BITS) -> SolutionSet:
     """All points of F2^(3n) where every generator vanishes.
 
     This equals the solution set over the algebraic closure exactly when
     F contains (or implies) all field polynomials; the caller asserts
-    that.  Generators are tested smallest-support-first with early exit.
+    that.  The result is the AND of the complements of the generators'
+    truth tables.
     """
-    nvars = F.nvars
-    if nvars > max_bits:
-        raise TooManyVariablesError(
-            f"{nvars} variables exceed the {max_bits}-bit enumeration cap")
-    gens = []
-    for f in F.polynomials:
-        term_masks = tuple(mono_support(m) for m in f.terms)
-        support = 0
-        for tm in term_masks:
-            support |= tm
-        gens.append((support.bit_count(), term_masks))
-    gens.sort(key=lambda g: g[0])
-    term_lists = [tm for _, tm in gens]
-
-    hits = []
-    for p in range(1 << nvars):
-        ok = True
-        for term_masks in term_lists:
-            value = 0
-            for tm in term_masks:
-                if p & tm == tm:
-                    value ^= 1
-            if value:
-                ok = False
-                break
-        if ok:
-            hits.append(p)
-    return SolutionSet(hits, F.n)
+    return SolutionSet(bits=_solution_bitmap(F, max_bits)[0], n=F.n)
 
 
 def solution_sets_equal(F1: GeneratorSet, F2: GeneratorSet,
@@ -151,44 +189,47 @@ def membership_by_evaluation(f: Polynomial, F: GeneratorSet,
     Equivalent to ideal membership when F contains all field polynomials
     (the ideal is then radical with all solutions in F2^(3n)); raises
     FieldPolysMissingError otherwise since the equivalence would be
-    unsound.
+    unsound, and ArityMismatchError when f and F live in different rings.
     """
     if not has_all_field_polys(F):
         raise FieldPolysMissingError(
             "generator set lacks field polynomials; evaluation does not "
             "decide membership")
-    term_masks = tuple(mono_support(m) for m in f.terms)
-    for p in sorted(enumerate_solutions(F, max_bits).masks):
-        value = 0
-        for tm in term_masks:
-            if p & tm == tm:
-                value ^= 1
-        if value:
-            return False
-    return True
+    if f.nvars != F.nvars:
+        raise ArityMismatchError(f"f has {f.nvars} variables, F has {F.nvars}")
+    alive, tables, everything = _solution_bitmap(F, max_bits)
+    return _poly_table(f, tables, everything) & alive == 0
 
 
 def dump_solutions(S: SolutionSet) -> str:
     """Text dump: header '# n=<n> count=<k>' then sorted hex masks."""
-    lines = [f"# n={S.n} count={len(S.masks)}"]
-    lines.extend(format(p, "x") for p in sorted(S.masks))
+    lines = [f"# n={S.n} count={len(S)}"]
+    lines.extend(format(p, "x") for p in S.masks)
     return "\n".join(lines) + "\n"
 
 
 def load_solutions(text: str) -> SolutionSet:
-    n = None
-    masks = []
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            fields = dict(
-                part.split("=", 1) for part in stripped[1:].split() if "=" in part)
-            if "n" in fields:
-                n = int(fields["n"])
-            continue
-        masks.append(int(stripped, 16))
-    if n is None:
-        raise ValueError("solution dump lacks '# n=<n>' header")
-    return SolutionSet(masks, n)
+    """Read a dump_solutions text; raises SolutionFormatError unless it is
+    one '# n=<n> count=<k>' header (1 <= 3n <= DEFAULT_MAX_BITS) and then
+    k distinct hex masks below 2^(3n)."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    header = [field.partition("=") for field in lines[0].split()] if lines else []
+    if ([key for key, _, _ in header] != ["#", "n", "count"]
+            or not all(value.isdecimal() and len(value) < 10  # n, k < 2^24
+                       for _, _, value in header[1:])):
+        raise SolutionFormatError("solution dump lacks its '# n=<n> count=<k>' header")
+    n, count = (int(value) for _, _, value in header[1:])
+    if not 1 <= 3 * n <= DEFAULT_MAX_BITS:
+        raise SolutionFormatError(
+            f"solution dump n={n} is outside 1..{DEFAULT_MAX_BITS // 3}")
+    masks = lines[1:]
+    if len(masks) != count or any(m.strip("0123456789abcdefABCDEF") for m in masks):
+        raise SolutionFormatError(
+            f"solution dump must hold {count} hex masks after its header")
+    bitmap = bytearray(1 << 3 * n >> 3)
+    for p in (int(m, 16) for m in masks):
+        if p >> 3 * n or bitmap[p >> 3] >> (p & 7) & 1:
+            raise SolutionFormatError(
+                f"solution mask {p:x} is outside F2^{3 * n} or repeated")
+        bitmap[p >> 3] |= 1 << (p & 7)
+    return SolutionSet(bits=int.from_bytes(bitmap, "little"), n=n)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per gating criterion, exact tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL
-line per criterion.  The n=6 stretch target is not gating and runs only
-when BOOLGB_STRETCH=1 is set.
+line per criterion.  The stretch targets (the n=6 basis, the n=7 oracle
+identities) are not gating and run only when BOOLGB_STRETCH=1 is set.
 """
 
 import os
@@ -85,20 +85,36 @@ def test_basis_identity(reduced_h):
 
 
 def test_solution_set_identity():
-    """Sol(H(n)) == Sol(G(n)) by exhaustive enumeration, n=1..4."""
-    with report("solution-set identity Sol(H)=Sol(G), n=1..4"):
-        for n in (1, 2, 3, 4):
+    """Sol(H(n)) == Sol(G(n)) by exhaustive enumeration, n=1..6."""
+    with report("solution-set identity Sol(H)=Sol(G), n=1..6"):
+        for n in (1, 2, 3, 4, 5, 6):
             assert solution_sets_equal(make_H(n), make_G(n)), n
 
 
 def test_counting_identities(reduced_h):
-    """|Sol(H(n))| = 4^n-3^n (n=1..5); standard monomials likewise (n=2..5)."""
+    """|Sol(H(n))| = 4^n-3^n (n=1..6); standard monomials of the computed
+    basis (n=2..5) and of G(n) itself (n=2..6) likewise."""
     with report("counting: solutions and standard monomials = 4^n-3^n"):
-        for n in (1, 2, 3, 4, 5):
+        for n in (1, 2, 3, 4, 5, 6):
             assert len(enumerate_solutions(make_H(n))) == 4 ** n - 3 ** n, n
         for n in (2, 3, 4, 5):
             basis, _ = reduced_h(n)
             assert count_standard_monomials(basis) == 4 ** n - 3 ** n, n
+        for n in (2, 3, 4, 5, 6):
+            basis = GroebnerBasis(make_G(n).polynomials, DEGLEX, reduced=True)
+            assert count_standard_monomials(basis) == 4 ** n - 3 ** n, n
+
+
+@pytest.mark.skipif(os.environ.get("BOOLGB_STRETCH") != "1",
+                    reason="stretch target; set BOOLGB_STRETCH=1 to run")
+def test_oracle_stretch_n7():
+    """Sol(H(7)) == Sol(G(7)), and both counts equal 4^7-3^7 = 14197."""
+    with report("stretch n=7 oracle: Sol(H)=Sol(G), counts 14197"):
+        sols = enumerate_solutions(make_H(7))
+        assert sols == enumerate_solutions(make_G(7))
+        assert len(sols) == 4 ** 7 - 3 ** 7
+        basis = GroebnerBasis(make_G(7).polynomials, DEGLEX, reduced=True)
+        assert count_standard_monomials(basis) == 4 ** 7 - 3 ** 7
 
 
 def test_reducedness_boundary():
@@ -137,10 +153,10 @@ def test_growth_table(tmp_path, capsys):
 
 def test_oracle_algebra_equivalence(reduced_h):
     """Membership via reduced basis == membership by evaluation, 200 random
-    polynomials per n for n=1..3, 100% agreement."""
-    with report("oracle/algebra equivalence, 200 random polys per n=1..3"):
+    polynomials per n for n=1..5, 100% agreement."""
+    with report("oracle/algebra equivalence, 200 random polys per n=1..5"):
         rng = random.Random(101)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4, 5):
             H = make_H(n)
             basis, _ = reduced_h(n)
             agree = 0

@@ -302,6 +302,13 @@ def test_verify_skips_checks_over_point_cap(capsys, monkeypatch):
     assert "V3 PASS" in stdout
 
 
+def test_verify_point_cap_bounds_standard_monomial_count(capsys, monkeypatch):
+    # the count is capped before the enumeration would be
+    monkeypatch.setenv("BOOLGB_CAPS", "points=5")
+    _, stdout, _ = run(capsys, "verify", "--n", "2")
+    assert "V4 SKIPPED: the box of 64 candidate monomials exceeds the 5-bit cap" in stdout
+
+
 def test_gen_resource_limit_exit_3(capsys):
     rc, _, stderr = run(capsys, "gen", "--family", "P", "--n", "13")
     assert rc == 3
@@ -463,3 +470,25 @@ def test_gb_boolean_engine_all_generators_vanish_exit_2(tmp_path, capsys):
     rc, _, stderr = run(capsys, "gb", str(path), "--engine", "boolean")
     assert rc == 2
     assert "vanish" in stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--family", "L", "--n", "1"],
+    ["verify", "--n", "1"],
+    ["bench", "--n", "2"],
+])
+def test_out_into_missing_directory_exit_2(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "x.out"
+    rc, _, stderr = run(capsys, *command, "--out", str(target))
+    assert rc == 2
+    assert stderr.startswith("error: cannot write output")
+    assert not target.parent.exists()
+
+
+def test_out_onto_directory_leaves_no_temp_file(tmp_path, capsys):
+    (tmp_path / "x.gens").mkdir()
+    rc, _, stderr = run(capsys, "gen", "--family", "L", "--n", "1",
+                        "--out", str(tmp_path / "x.gens"))
+    assert rc == 2
+    assert stderr.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.gens"]

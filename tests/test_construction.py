@@ -11,6 +11,7 @@ from boolgb import (
     GroebnerBasis,
     NotZeroDimensionalError,
     ResourceLimitError,
+    TooManyVariablesError,
     buchberger,
     count_standard_monomials,
     evaluate,
@@ -212,6 +213,17 @@ def test_standard_monomials_block_product_description_n2():
             continue
         described.add("*".join(names) if names else "1")
     assert len(described) == 7
+
+
+def test_count_standard_monomials_box_cap():
+    basis = GroebnerBasis(list(make_G(2).polynomials), DEGLEX, reduced=True)
+    assert count_standard_monomials(basis, max_bits=6) == 7  # box of 2^6
+    with pytest.raises(TooManyVariablesError):
+        count_standard_monomials(basis, max_bits=5)
+    huge = GroebnerBasis([P(t, 1) for t in ("x1^4096", "y1^4096", "z1^2")],
+                         DEGLEX, reduced=True)  # a box of 2^25 monomials
+    with pytest.raises(TooManyVariablesError):
+        count_standard_monomials(huge)
 
 
 def test_count_standard_monomials_rejects_positive_dimension():

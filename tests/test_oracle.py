@@ -11,6 +11,7 @@ from boolgb import (
     FieldPolysMissingError,
     FULL,
     GeneratorSet,
+    SolutionFormatError,
     TooManyVariablesError,
     buchberger,
     dump_solutions,
@@ -135,6 +136,13 @@ def test_membership_requires_field_polys():
         membership_by_evaluation(P("x1", 2), F)
 
 
+def test_membership_arity_mismatch():
+    with pytest.raises(ArityMismatchError):
+        membership_by_evaluation(P("z2", 2), make_H(1))
+    with pytest.raises(ArityMismatchError):
+        membership_by_evaluation(P("x1", 1), make_H(2))
+
+
 def test_membership_boolean_mode_is_allowed():
     Hb = make_H(2, mode=BOOLEAN)
     assert membership_by_evaluation(P("x1*z1 + x1", 2, BOOLEAN), Hb)
@@ -161,6 +169,8 @@ def test_solution_dump_roundtrip():
     assert len(lines) == 1 + len(sols)
     loaded = load_solutions(text)
     assert loaded == sols
+    assert all(p in loaded for p in loaded.points())
+    assert 0 in loaded and 0b100 not in loaded and 1 << 6 not in loaded
 
 
 def test_solution_dump_sorted_hex():
@@ -168,3 +178,25 @@ def test_solution_dump_sorted_hex():
     body = dump_solutions(sols).splitlines()[1:]
     values = [int(s, 16) for s in body]
     assert values == sorted(values)
+
+
+@pytest.mark.parametrize("text", [
+    "# n=0 count=5\nfffffff\n",             # n below 1
+    "# n=9 count=0\n",                      # 27 variables, beyond the cap
+    "# n=1 count=9\n3\n3\n",                # count mismatch, repeated mask
+    "# n=1 count=2\n3\n3\n",                # repeated mask
+    "# n=1 count=3\n1\n2\n",                # count mismatch
+    "1\n2\n",                               # no header
+    "",                                     # empty
+    "# n=1\n1\n",                           # no count
+    "# n=1 count=1 mode=full\n1\n",         # unknown field
+    "# n=one count=1\n1\n",                 # n not a number
+    "# n=1 count=" + "9" * 5000 + "\n",     # beyond int()'s digit limit
+    "# n=1 count=1\n# n=1 count=1\n1\n",    # second header
+    "# n=1 count=1\n8\n",                   # mask beyond F2^3
+    "# n=1 count=1\n0x1\n",                 # not plain hex
+    "# n=1 count=1\n-1\n",                  # not plain hex
+])
+def test_load_solutions_rejects_malformed_dump(text):
+    with pytest.raises(SolutionFormatError):
+        load_solutions(text)
