@@ -220,28 +220,28 @@ def _verify_checks(args, caps: Caps):
                "G not reduced at n=1, flagged EXPECTED")
 
     # V3: engine output equals the unique reduced basis; count matches 6n+3^n
+    expected = interreduce(
+        groebner.GroebnerBasis(list(G.polynomials), order, reduced=False))
     try:
         basis = _full_basis(H, args.engine, caps)
     except ResourceLimitError as exc:
         yield ("V3", "SKIPPED", str(exc))
-        return
     except EngineDisagreementError as exc:
         yield ("V3", "FAIL", str(exc))
-        return
-    expected = interreduce(
-        groebner.GroebnerBasis(list(G.polynomials), order, reduced=False))
-    same = basis.as_set() == expected.as_set()
-    size_ok = len(basis) == construction.predicted_gb_size(n)
-    if n > 1:
-        yield ("V3", "PASS" if (same and size_ok) else "FAIL",
-               f"|GB(H)| = {len(basis)}, predicted {construction.predicted_gb_size(n)}")
     else:
-        yield ("V3", "PASS" if (same and not size_ok) else "FAIL",
-               f"|GB(H)| = {len(basis)} != 9 at n=1, flagged EXPECTED")
+        same = basis.as_set() == expected.as_set()
+        size_ok = len(basis) == construction.predicted_gb_size(n)
+        if n > 1:
+            yield ("V3", "PASS" if (same and size_ok) else "FAIL",
+                   f"|GB(H)| = {len(basis)}, predicted {construction.predicted_gb_size(n)}")
+        else:
+            yield ("V3", "PASS" if (same and not size_ok) else "FAIL",
+                   f"|GB(H)| = {len(basis)} != 9 at n=1, flagged EXPECTED")
 
-    # V4: standard-monomial count == solution count == 4^n - 3^n
+    # V4: standard-monomial count == solution count == 4^n - 3^n, on the
+    # predicted reduced basis (V3 compares the engine's basis with it)
     try:
-        std = construction.count_standard_monomials(basis, max_bits=caps.points)
+        std = construction.count_standard_monomials(expected, max_bits=caps.points)
         sols = len(oracle.enumerate_solutions(H, max_bits=caps.points))
         predicted = construction.predicted_solution_count(n)
         ok = std == sols == predicted
@@ -265,7 +265,8 @@ def cmd_verify(args, caps: Caps) -> int:
     return EXIT_OK
 
 
-def _bench_record(n: int, args, caps: Caps) -> construction.GrowthRecord:
+def _bench_record(n: int, args, caps: Caps) -> dict:
+    """One growth-table row, keyed by its CSV column and JSON key names."""
     H = construction.make_H(n, FULL, args.order)
     gb_count = None
     start = time.perf_counter()
@@ -278,17 +279,17 @@ def _bench_record(n: int, args, caps: Caps) -> construction.GrowthRecord:
     solution_count = None
     if 3 * n <= caps.points:
         solution_count = len(oracle.enumerate_solutions(H, max_bits=caps.points))
-    return construction.GrowthRecord(
-        n=n,
-        input_count=len(H),
-        input_bitsize=construction.input_bitsize(H),
-        input_max_degree=construction.max_degree(H),
-        gb_count=gb_count,
-        predicted_gb_count=construction.predicted_gb_size(n),
-        solution_count=solution_count,
-        predicted_solution_count=construction.predicted_solution_count(n),
-        wall_time=wall,
-    )
+    return {
+        "n": n,
+        "inputCount": len(H),
+        "inputBitsize": construction.input_bitsize(H),
+        "inputMaxDegree": construction.max_degree(H),
+        "gbCount": gb_count,
+        "predictedGbCount": construction.predicted_gb_size(n),
+        "solutionCount": solution_count,
+        "predictedSolutionCount": construction.predicted_solution_count(n),
+        "wallTimeMs": int(wall * 1000),
+    }
 
 
 def cmd_bench(args, caps: Caps) -> int:
@@ -296,27 +297,15 @@ def cmd_bench(args, caps: Caps) -> int:
     if n_max < args.n:
         sys.stderr.write("error: --n-max must be >= --n\n")
         return EXIT_USAGE
-    records = [_bench_record(n, args, caps) for n in range(args.n, n_max + 1)]
+    rows = [_bench_record(n, args, caps) for n in range(args.n, n_max + 1)]
     if args.fmt == "json":
-        payload = [
-            {
-                "n": r.n, "inputCount": r.input_count,
-                "inputBitsize": r.input_bitsize,
-                "inputMaxDegree": r.input_max_degree,
-                "gbCount": r.gb_count,
-                "predictedGbCount": r.predicted_gb_count,
-                "solutionCount": r.solution_count,
-                "predictedSolutionCount": r.predicted_solution_count,
-                "wallTimeMs": int(r.wall_time * 1000),
-            }
-            for r in records
-        ]
-        _emit(json.dumps(payload) + "\n", args.out)
+        _emit(json.dumps(rows) + "\n", args.out)
     else:
-        lines = [construction.GrowthRecord.CSV_HEADER]
-        lines.extend(r.csv_row() for r in records)
+        lines = [",".join(rows[0])]
+        lines.extend(",".join("" if v is None else str(v) for v in row.values())
+                     for row in rows)
         _emit("\n".join(lines) + "\n", args.out)
-    if any(r.gb_count is None for r in records):
+    if any(row["gbCount"] is None for row in rows):
         return EXIT_RESOURCE
     return EXIT_OK
 
@@ -367,73 +356,72 @@ def cmd_member(args, caps: Caps) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# every argument of any command; each command lists the ones it reads
+_ARGUMENTS = {
+    "input": dict(help="generator-set file"),
+    "poly": dict(help="polynomial text"),
+    "basis": dict(help="basis dump file (JSON)"),
+    "--family": dict(choices=("H", "G", "S", "L", "T", "P"), required=True),
+    "--mode": dict(choices=(FULL, BOOLEAN), default=FULL),
+    "--n": dict(type=int, required=True, help="block count n >= 1"),
+    "--n-max": dict(type=int, default=None),
+    "--order": dict(choices=("deglex", "degrevlex"), default="deglex",
+                    help="monomial order"),
+    "--engine": dict(choices=("full", "boolean", "both"), default="full",
+                     help="ring engine"),
+    "--max-pairs": dict(type=_cap_flag, default=None),
+    "--max-basis": dict(type=_cap_flag, default=None),
+    "--out": dict(default=None, help="output path (atomic write)"),
+    "--format": dict(dest="fmt", choices=("text", "json"), default="text"),
+    "--oracle": dict(action="store_true", help="cross-check by exhaustive evaluation"),
+    "-v": dict(dest="verbose", action="count", default=0),
+}
+
+_RUN = ("--n", "--order", "--engine", "--max-pairs", "--max-basis", "--out", "--format")
+
+_COMMANDS = {
+    "gen": (cmd_gen, "write a generator family file",
+            ("--family", "--mode", "--n", "--order", "--out")),
+    "gb": (cmd_gb, "reduced Groebner basis of a generator file",
+           ("input", "--order", "--engine", "--max-pairs", "--max-basis", "--out", "-v")),
+    "verify": (cmd_verify, "check the construction identities at one n", _RUN),
+    "bench": (cmd_bench, "growth table over an n range", _RUN + ("--n-max",)),
+    "nf": (cmd_nf, "normal form of a polynomial against a basis dump",
+           ("poly", "basis", "--out")),
+    "member": (cmd_member, "ideal membership against a basis dump",
+               ("poly", "basis", "--oracle", "--out")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boolgb",
         description="Groebner bases over F2: the 4n+1 -> 6n+3^n blowup harness.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_n=False):
-        if needs_n:
-            p.add_argument("--n", type=int, required=True, help="block count n >= 1")
-        p.add_argument("--order", choices=("deglex", "degrevlex"),
-                       default="deglex", help="monomial order")
-        p.add_argument("--engine", choices=("full", "boolean", "both"),
-                       default="full", help="ring engine")
-        p.add_argument("--max-pairs", type=_cap_flag, default=None)
-        p.add_argument("--max-basis", type=_cap_flag, default=None)
-        p.add_argument("--out", default=None, help="output path (atomic write)")
-        p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
-                       default="text")
-        p.add_argument("-v", "--verbose", action="count", default=0)
-
-    p = sub.add_parser("gen", help="write a generator family file")
-    p.add_argument("--family", choices=("H", "G", "S", "L", "T", "P"), required=True)
-    p.add_argument("--mode", choices=(FULL, BOOLEAN), default=FULL)
-    common(p, needs_n=True)
-
-    p = sub.add_parser("gb", help="reduced Groebner basis of a generator file")
-    p.add_argument("input", help="generator-set file")
-    common(p)
-
-    p = sub.add_parser("verify", help="check the construction identities at one n")
-    common(p, needs_n=True)
-
-    p = sub.add_parser("bench", help="growth table over an n range")
-    p.add_argument("--n-max", type=int, default=None)
-    common(p, needs_n=True)
-
-    p = sub.add_parser("nf", help="normal form of a polynomial against a basis dump")
-    p.add_argument("poly", help="polynomial text")
-    p.add_argument("basis", help="basis dump file (JSON)")
-    common(p)
-
-    p = sub.add_parser("member", help="ideal membership against a basis dump")
-    p.add_argument("poly", help="polynomial text")
-    p.add_argument("basis", help="basis dump file (JSON)")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check by exhaustive evaluation")
-    common(p)
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            p.add_argument(argument, **_ARGUMENTS[argument])
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    args.order = get_order(args.order)
+    if hasattr(args, "order"):
+        args.order = get_order(args.order)
     try:
         caps = Caps.from_env()
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    caps.pairs = args.max_pairs or caps.pairs
-    caps.basis = args.max_basis or caps.basis
+    caps.pairs = getattr(args, "max_pairs", None) or caps.pairs
+    caps.basis = getattr(args, "max_basis", None) or caps.basis
     if getattr(args, "n", 1) < 1:
         sys.stderr.write("error: --n must be >= 1\n")
         return EXIT_USAGE
-    commands = {"gen": cmd_gen, "gb": cmd_gb, "verify": cmd_verify,
-                "bench": cmd_bench, "nf": cmd_nf, "member": cmd_member}
+    command = _COMMANDS[args.command][0]
     try:
-        return commands[args.command](args, caps)
+        return command(args, caps)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         if exc.stats is not None:

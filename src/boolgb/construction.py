@@ -17,8 +17,6 @@ reduced total-degree Groebner basis of that ideal, so the input of size
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .groebner import (
     MAX_FILE_N,
@@ -46,31 +44,6 @@ DEFAULT_MAX_N = 12
 
 class NotZeroDimensionalError(ValueError):
     """Standard-monomial counting needs a pure-power leading monomial per variable."""
-
-
-@dataclass
-class GrowthRecord:
-    """One row of the growth table (bench output)."""
-
-    n: int
-    input_count: int
-    input_bitsize: int
-    input_max_degree: int
-    gb_count: Optional[int]
-    predicted_gb_count: int
-    solution_count: Optional[int]
-    predicted_solution_count: int
-    wall_time: float
-
-    CSV_HEADER = ("n,inputCount,inputBitsize,inputMaxDegree,gbCount,"
-                  "predictedGbCount,solutionCount,predictedSolutionCount,wallTimeMs")
-
-    def csv_row(self) -> str:
-        gb = "" if self.gb_count is None else str(self.gb_count)
-        sol = "" if self.solution_count is None else str(self.solution_count)
-        return (f"{self.n},{self.input_count},{self.input_bitsize},"
-                f"{self.input_max_degree},{gb},{self.predicted_gb_count},"
-                f"{sol},{self.predicted_solution_count},{int(self.wall_time * 1000)}")
 
 
 def _check_n(n: int):

@@ -497,8 +497,9 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
 
     Returns (GroebnerBasis with reduced=False, ReductionStats).  Raises
     ResourceLimitError, with the stats so far attached, when more than
-    max_pairs candidate pairs are generated or the working basis exceeds
-    max_basis elements.
+    max_pairs pairs are queued (ordinary pairs that survive the criteria,
+    plus the Boolean field tasks) or the working basis exceeds max_basis
+    elements.
     """
     t0 = time.perf_counter()
     pk = _packing_for(F.polynomials, F.mode, F.order, F.nvars)
@@ -520,9 +521,11 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     full_terms = []   # packed term sets of working elements
     live = {}         # live ordinary pairs: (i, j) -> lcm
     heap = []         # (lcm key, kind, i, j); pruned pairs skipped at pop
+    queued = 0        # pairs and field tasks ever pushed; max_pairs caps it
 
     def update(new_terms):
         """Gebauer-Moeller insertion of a new element."""
+        nonlocal queued
         t = len(full_terms)
         if t + 1 > max_basis:
             stats.wall_time = time.perf_counter() - t0
@@ -556,6 +559,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             else:
                 live[(members[0], t)] = lcm_f
                 heapq.heappush(heap, (key(lcm_f), 0, members[0], t))
+                queued += 1
                 pruned += len(members) - 1
         stats.pairs_skipped_by_criteria += pruned
 
@@ -565,8 +569,9 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         if pk.boolean:
             for v in _support_vars(pk, lmf):
                 stats.pairs_generated += 1
+                queued += 1
                 heapq.heappush(heap, (key(lmf), 1, t, v))
-        if stats.pairs_generated > max_pairs:
+        if queued > max_pairs:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"pair cap exceeded ({max_pairs})", stats)
 

@@ -260,19 +260,24 @@ def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.terms ^ g.terms, f.nvars, f.mode)
 
 
+def _sum_mod2(monomials) -> set:
+    """The monomials that occur an odd number of times: their sum over F2."""
+    acc = set()
+    for m in monomials:
+        if m in acc:
+            acc.discard(m)
+        else:
+            acc.add(m)
+    return acc
+
+
 def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     """Product, cancelling duplicate monomials mod 2."""
     _check_compatible(f, g)
-    acc = set()
     boolean = f.mode == BOOLEAN
-    for a in f.terms:
-        for b in g.terms:
-            m = tuple(map(max, a, b)) if boolean else tuple(x + y for x, y in zip(a, b))
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
-    return Polynomial(acc, f.nvars, f.mode)
+    return Polynomial(_sum_mod2(
+        tuple(map(max, a, b)) if boolean else tuple(x + y for x, y in zip(a, b))
+        for a in f.terms for b in g.terms), f.nvars, f.mode)
 
 
 def leading_monomial(f: Polynomial, order: MonomialOrder = DEGLEX):
@@ -284,14 +289,8 @@ def leading_monomial(f: Polynomial, order: MonomialOrder = DEGLEX):
 
 def to_boolean(f: Polynomial) -> Polynomial:
     """Image of f in the Boolean quotient: cap exponents, cancel mod 2."""
-    acc = set()
-    for m in f.terms:
-        b = tuple(min(e, 1) for e in m)
-        if b in acc:
-            acc.discard(b)
-        else:
-            acc.add(b)
-    return Polynomial(acc, f.nvars, BOOLEAN)
+    return Polynomial(_sum_mod2(tuple(min(e, 1) for e in m) for m in f.terms),
+                      f.nvars, BOOLEAN)
 
 
 def to_full(f: Polynomial) -> Polynomial:
@@ -362,7 +361,6 @@ def parse_poly(text: str, n: int, mode: str = FULL) -> Polynomial:
     """
     nvars = num_vars(n)
     tok = _Tokenizer(text)
-    terms = set()
 
     def parse_factor():
         c = tok.peek()
@@ -409,15 +407,11 @@ def parse_poly(text: str, n: int, mode: str = FULL) -> Polynomial:
 
     if tok.peek() in ("+", "-"):
         tok.pos += 1
-    coeff, m = parse_term()
-    if coeff:
-        terms.add(m)
+    terms = [parse_term()]
     while tok.peek() is not None:
         c = tok.peek()
         if c not in ("+", "-"):
             raise ParseError(f"expected '+' or '-', found {c!r}", tok.pos)
         tok.pos += 1
-        coeff, m = parse_term()
-        if coeff:
-            terms.symmetric_difference_update((m,))
-    return Polynomial(terms, nvars, mode)
+        terms.append(parse_term())
+    return Polynomial(_sum_mod2(m for coeff, m in terms if coeff), nvars, mode)

@@ -1,5 +1,8 @@
 """End-to-end checks of the boolgb command line."""
 
+import argparse
+import csv
+import io
 import json
 
 import pytest
@@ -220,6 +223,25 @@ def test_bench_resource_limited_row_marked_incomplete(tmp_path, capsys):
     assert row[5] == "45"     # prediction still present
 
 
+def test_bench_csv_and_json_rows_agree(capsys):
+    # 100 queued pairs admit n = 2 (70) and stop n = 3 (267): one empty gbCount
+    argv = ["bench", "--n", "2", "--n-max", "3", "--max-pairs", "100"]
+    rc, text, _ = run(capsys, *argv)
+    assert rc == 3
+    rc, document, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 3
+    csv_rows = list(csv.DictReader(io.StringIO(text)))
+    json_rows = json.loads(document)
+    assert [list(row) for row in csv_rows] == [list(row) for row in json_rows]
+    assert [row["gbCount"] for row in json_rows] == [21, None]
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        # the two runs time the engine separately
+        assert int(csv_row.pop("wallTimeMs")) >= 0
+        assert json_row.pop("wallTimeMs") >= 0
+        assert csv_row == {key: "" if value is None else str(value)
+                           for key, value in json_row.items()}
+
+
 def test_bench_json_format(capsys):
     rc, stdout, _ = run(capsys, "bench", "--n", "2", "--format", "json")
     assert rc == 0
@@ -291,6 +313,67 @@ def test_usage_error_exits_2(capsys):
         main(["gen", "--n", "2"])  # missing --family
     assert err.value.code == 2
     capsys.readouterr()
+
+
+ACCEPTED = {
+    "gen": {"--family", "--mode", "--n", "--order", "--out"},
+    "gb": {"input", "--order", "--engine", "--max-pairs", "--max-basis", "--out", "-v"},
+    "verify": {"--n", "--order", "--engine", "--max-pairs", "--max-basis", "--out",
+               "--format"},
+    "bench": {"--n", "--order", "--engine", "--max-pairs", "--max-basis", "--out",
+              "--format", "--n-max"},
+    "nf": {"poly", "basis", "--out"},
+    "member": {"poly", "basis", "--oracle", "--out"},
+}
+
+
+def test_each_command_accepts_only_the_flags_it_reads():
+    from boolgb.cli import _build_parser
+    sub, = [a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {a.option_strings[0] if a.option_strings else a.dest
+               for a in parser._actions if a.dest != "help"}
+        for name, parser in sub.choices.items()}
+    assert accepted == ACCEPTED
+    assert sum(map(len, accepted.values())) == 34
+    assert len(REFUSED) == 20
+
+
+# one value per flag that takes one
+FLAG_VALUES = {"--order": "degrevlex", "--engine": "full", "--max-pairs": "5",
+               "--max-basis": "5", "--format": "json", "-v": None}
+TARGETS = {"gen": ["--family", "L", "--n", "1"], "gb": ["h.gens"],
+           "verify": ["--n", "1"], "bench": ["--n", "2"],
+           "nf": ["x1", "b.json"], "member": ["x1", "b.json"]}
+REFUSED = [(command, flag) for command in TARGETS for flag in FLAG_VALUES
+           if flag not in ACCEPTED[command]]
+
+
+@pytest.mark.parametrize("command, flag", REFUSED)
+def test_flag_a_command_does_not_read_exits_2(capsys, command, flag):
+    value = FLAG_VALUES[flag]
+    extra = [flag] if value is None else [flag, value]
+    with pytest.raises(SystemExit) as err:
+        main([command, *TARGETS[command], *extra])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_format_csv_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--n", "2", "--format", "csv"])
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_verify_reports_v4_when_v3_hits_the_pair_cap(capsys, monkeypatch):
+    monkeypatch.setenv("BOOLGB_CAPS", "pairs=10")
+    rc, stdout, _ = run(capsys, "verify", "--n", "2")
+    assert rc == 0
+    assert "V3 SKIPPED: pair cap exceeded (10)" in stdout
+    assert "V4 PASS" in stdout
 
 
 def test_verify_skips_checks_over_point_cap(capsys, monkeypatch):

@@ -145,6 +145,16 @@ def test_buchberger_pair_cap():
     assert err.value.stats.pairs_generated > 10
 
 
+@pytest.mark.parametrize("mode", [FULL, BOOLEAN])
+def test_pair_cap_counts_queued_pairs(mode):
+    # H(2) queues 70 pairs, field tasks included; it generates more candidates
+    raw, stats = buchberger(make_H(2, mode), max_pairs=70)
+    assert len(interreduce(raw)) == (21 if mode == FULL else 15)
+    assert stats.pairs_generated > 70
+    with pytest.raises(ResourceLimitError):
+        buchberger(make_H(2, mode), max_pairs=69)
+
+
 def test_buchberger_basis_cap():
     with pytest.raises(ResourceLimitError):
         buchberger(make_H(3), max_basis=5)
