@@ -12,12 +12,13 @@ by the monomial order on the lcm, then by pair index).  The update step
 is Gebauer-Moeller style: it applies the product criterion (coprime
 leading monomials) and the chain criterion.  Reduction is deterministic:
 always the largest reducible monomial, divided by the first divisor in
-list order.
+basis order (ascending leading monomial, ties in the order given).
 
 Inside the engine a monomial is one packed Python int (Monagan & Pearce,
 CASC 2007); exponent tuples are packed where polynomials enter and
-unpacked where they leave.  A `_Packing` fixes the layout for one
-(nvars, mode, order, width):
+unpacked where they leave.  A `GroebnerBasis` is packed once, when it is
+built, into the one reducer that every read of it uses.  A `_Packing`
+fixes the layout for one (nvars, mode, order, width):
 
 - Boolean mode: a monomial is its support bitmask.  Multiply and lcm
   are `|`, a divides b is `a & b == a`.
@@ -30,9 +31,10 @@ unpacked where they leave.  A `_Packing` fixes the layout for one
   largest input degree; up to 8 bytes, one `struct` call packs or
   unpacks a whole monomial.  An lcm or product whose degree does not fit
   raises `_Overflow`; `buchberger` then widens the fields and restarts,
-  so a field never wraps.  Reduction cannot overflow: under a degree
-  order a reducer's tail is no larger in degree than its leading
-  monomial, so no product outgrows the monomial it replaces.
+  and `normal_form` packs a query too wide for a basis's fields anew, so
+  a field never wraps.  Reduction cannot overflow: under a degree order
+  a reducer's tail is no larger in degree than its leading monomial, so
+  no product outgrows the monomial it replaces.
 - `key(m)` is one int that sorts exactly like `MonomialOrder.key` of the
   unpacked monomial: degree first, then the variables laid out from the
   most to the least significant one (x1 first for deglex; the last
@@ -44,8 +46,6 @@ import json
 import operator
 import struct
 import time
-from dataclasses import dataclass
-from itertools import chain
 
 from .polyring import (
     BOOLEAN,
@@ -86,19 +86,21 @@ class BasisFormatError(ValueError):
     """A basis document does not follow the dump_basis schema."""
 
 
-@dataclass
 class ReductionStats:
-    """Counters for one engine run."""
+    """Counters for one engine run; the pair cap compares pairs_queued."""
 
-    pairs_generated: int = 0
-    pairs_skipped_by_criteria: int = 0
-    reductions_to_zero: int = 0
-    wall_time: float = 0.0
+    def __init__(self):
+        self.pairs_generated = 0
+        self.pairs_queued = 0
+        self.pairs_skipped_by_criteria = 0
+        self.reductions_to_zero = 0
+        self.wall_time = 0.0
 
     def as_block(self, basis_size=None) -> str:
         """Flat key=value block (one entry per line)."""
         lines = [
             f"pairsGenerated={self.pairs_generated}",
+            f"pairsQueued={self.pairs_queued}",
             f"pairsSkippedByCriteria={self.pairs_skipped_by_criteria}",
             f"reductionsToZero={self.reductions_to_zero}",
             f"wallTimeMs={int(self.wall_time * 1000)}",
@@ -254,12 +256,6 @@ class _Packing:
         return frozenset(map(self.unpack, terms))
 
 
-def _packing_for(polys, mode, order, nvars):
-    """A packing whose fields fit every monomial of polys with headroom."""
-    terms = chain.from_iterable(f.terms for f in polys)
-    return _Packing(nvars, mode, order, max(map(sum, terms)))
-
-
 def _mul_terms(pk, q, terms, acc):
     """acc + q*terms over F2: the one term-multiply kernel of the engine."""
     mul = pk.mul
@@ -328,11 +324,12 @@ class GeneratorSet:
 class GroebnerBasis:
     """A list of basis elements sorted ascending by leading monomial.
 
-    The `reduced` flag is a cache, never a proof; verification predicates
-    recompute the property.
+    Ties keep the order given.  The elements are packed once, here, into
+    the reducer that every read of the basis uses.  The `reduced` flag is
+    a cache, never a proof; verification predicates recompute it.
     """
 
-    __slots__ = ("elements", "order", "mode", "nvars", "n", "reduced")
+    __slots__ = ("elements", "order", "mode", "nvars", "n", "reduced", "_reducer")
 
     def __init__(self, elements, order: MonomialOrder, reduced: bool = False):
         elements = list(elements)
@@ -346,8 +343,12 @@ class GroebnerBasis:
             if f.mode != mode or f.nvars != nvars:
                 raise ModeMismatchError(
                     "basis elements must share one mode and variable count")
-        elements.sort(key=lambda f: order.key(max(f.terms, key=order.key)))
-        self.elements = tuple(elements)
+        pk = _Packing(nvars, mode, order, max(f.degree() for f in elements))
+        key = pk.key
+        packed = sorted(((pk.pack_terms(f.terms), f) for f in elements),
+                        key=lambda item: key(max(item[0], key=key)))
+        self.elements = tuple(f for _, f in packed)
+        self._reducer = _Reducer(pk, [terms for terms, _ in packed])
         self.order = order
         self.mode = mode
         self.nvars = nvars
@@ -355,7 +356,7 @@ class GroebnerBasis:
         self.reduced = reduced
 
     def leading_monomials(self):
-        return [max(f.terms, key=self.order.key) for f in self.elements]
+        return [self._reducer.pk.unpack(lm) for lm in self._reducer.lms]
 
     def as_set(self):
         return frozenset(self.elements)
@@ -451,28 +452,35 @@ def _reduce_terms(terms, red: _Reducer):
 
 
 def normal_form(f: Polynomial, G, order: MonomialOrder = DEGLEX) -> Polynomial:
-    """Remainder of f under multivariate division by the list G.
+    """Remainder of f under multivariate division by G.
 
     No monomial of the result is divisible by any leading monomial of G,
     and the result is congruent to f modulo the ideal (G).  G may be a
-    GroebnerBasis or any list of nonzero polynomials; the zero input is
-    allowed and maps to zero.
+    GroebnerBasis or a list of nonzero polynomials, read as
+    GroebnerBasis(G, order): each step divides by the first divisor in
+    basis order (ascending leading monomial, ties in list order), which
+    matters only when G is not a Groebner basis.  Zero maps to zero.
     """
-    if isinstance(G, GroebnerBasis):
-        order = G.order
-        G = G.elements
-    G = list(G)
-    if not G or f.is_zero:
+    if f.is_zero:
         return f
-    for g in G:
-        if g.is_zero:
-            raise ZeroPolynomialError("reducers must be nonzero")
-        if g.mode != f.mode or g.nvars != f.nvars:
-            raise ModeMismatchError(
-                "reducers must match the mode and variable count of f")
-    pk = _packing_for(G + [f], f.mode, order, f.nvars)
-    red = _Reducer(pk, [pk.pack_terms(g.terms) for g in G])
-    r = _reduce_terms(pk.pack_terms(f.terms), red)
+    if not isinstance(G, GroebnerBasis):
+        G = list(G)
+        if not G:
+            return f
+        G = GroebnerBasis(G, order)
+    if G.mode != f.mode or G.nvars != f.nvars:
+        raise ModeMismatchError(
+            "reducers must match the mode and variable count of f")
+    red = G._reducer
+    pk = red.pk
+    try:
+        terms = pk.pack_terms(f.terms)
+    except _Overflow:
+        # a query of higher degree than the fields hold: widen, never wrap
+        pk = _Packing(f.nvars, f.mode, G.order, f.degree())
+        red = _Reducer(pk, [pk.pack_terms(g.terms) for g in G.elements])
+        terms = pk.pack_terms(f.terms)
+    r = _reduce_terms(terms, red)
     return Polynomial(pk.unpack_terms(r), f.nvars, f.mode)
 
 
@@ -482,7 +490,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGLEX) ->
         raise ZeroPolynomialError("s_polynomial requires nonzero operands")
     if f.mode != g.mode or f.nvars != g.nvars:
         raise ModeMismatchError("operands must share one mode and variable count")
-    pk = _packing_for((f, g), f.mode, order, f.nvars)
+    pk = _Packing(f.nvars, f.mode, order, max(f.degree(), g.degree()))
     tf, tg = pk.pack_terms(f.terms), pk.pack_terms(g.terms)
     s = _spoly_terms(pk, max(tf, key=pk.key), tf, max(tg, key=pk.key), tg)
     return Polynomial(pk.unpack_terms(s), f.nvars, f.mode)
@@ -502,7 +510,7 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
     elements.
     """
     t0 = time.perf_counter()
-    pk = _packing_for(F.polynomials, F.mode, F.order, F.nvars)
+    pk = _Packing(F.nvars, F.mode, F.order, max(f.degree() for f in F.polynomials))
     while True:
         try:
             return _buchberger(F, pk, max_pairs, max_basis, t0)
@@ -521,11 +529,9 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     full_terms = []   # packed term sets of working elements
     live = {}         # live ordinary pairs: (i, j) -> lcm
     heap = []         # (lcm key, kind, i, j); pruned pairs skipped at pop
-    queued = 0        # pairs and field tasks ever pushed; max_pairs caps it
 
     def update(new_terms):
         """Gebauer-Moeller insertion of a new element."""
-        nonlocal queued
         t = len(full_terms)
         if t + 1 > max_basis:
             stats.wall_time = time.perf_counter() - t0
@@ -559,7 +565,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             else:
                 live[(members[0], t)] = lcm_f
                 heapq.heappush(heap, (key(lcm_f), 0, members[0], t))
-                queued += 1
+                stats.pairs_queued += 1
                 pruned += len(members) - 1
         stats.pairs_skipped_by_criteria += pruned
 
@@ -569,9 +575,9 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         if pk.boolean:
             for v in _support_vars(pk, lmf):
                 stats.pairs_generated += 1
-                queued += 1
+                stats.pairs_queued += 1
                 heapq.heappush(heap, (key(lmf), 1, t, v))
-        if queued > max_pairs:
+        if stats.pairs_queued > max_pairs:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"pair cap exceeded ({max_pairs})", stats)
 
@@ -610,27 +616,24 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
 def interreduce(G: GroebnerBasis, strict: bool = False) -> GroebnerBasis:
     """The unique reduced Groebner basis of the ideal of G (same order).
 
-    Keeps only elements whose leading monomial is divisible by no other
-    kept leading monomial, then fully normal-forms every tail against the
-    kept elements.  One reducer serves every tail: a tail monomial is
-    smaller than its own leading monomial, which therefore never divides
-    it.  Over F2 everything is monic already.  With strict=True, every
-    discarded element is checked to reduce to zero against the result
+    Keeps only elements whose leading monomial is divisible by no earlier
+    one, then fully normal-forms every kept tail with G's own reducer: a
+    dropped element is never a first divisor, since an earlier kept lm
+    divides its own, and a tail monomial is below its own lm.  Over F2
+    everything is monic already.  With strict=True, every discarded
+    element is checked to reduce to zero against the result
     (NotAGroebnerBasisError otherwise).
     """
-    pk = _packing_for(G.elements, G.mode, G.order, G.nvars)
-    red = _Reducer(pk)  # the kept elements
-    removed = []
-    # G.elements ascend by leading monomial, so divisors come first
-    for f in G.elements:
-        terms = pk.pack_terms(f.terms)
-        if red.find_divisor(max(terms, key=pk.key)) >= 0:
+    red = G._reducer
+    pk = red.pk
+    reduced, removed = [], []
+    # in basis order an lm is redundant exactly when its first divisor is not itself
+    for i, (f, lm, tail) in enumerate(zip(G.elements, red.lms, red.tails)):
+        if red.find_divisor(lm) != i:
             removed.append(f)
         else:
-            red.append(terms)
-    reduced = [
-        Polynomial(pk.unpack_terms(_reduce_terms(tail, red) | {lm}), G.nvars, G.mode)
-        for lm, tail in zip(red.lms, red.tails)]
+            reduced.append(Polynomial(
+                pk.unpack_terms(_reduce_terms(tail, red) | {lm}), G.nvars, G.mode))
     result = GroebnerBasis(reduced, G.order, reduced=True)
     if strict:
         for f in removed:
@@ -654,10 +657,9 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
         return True
     if isinstance(order, str):
         order = get_order(order)
-    pk = _packing_for(polys, polys[0].mode, order, polys[0].nvars)
-    terms = [pk.pack_terms(f.terms) for f in polys]
-    red = _Reducer(pk, terms)
-    lms = red.lms
+    red = GroebnerBasis(polys, order)._reducer
+    pk, lms = red.pk, red.lms
+    terms = [(lm, *tail) for lm, tail in zip(lms, red.tails)]
     masks = [pk.support(lm) for lm in lms]
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
@@ -683,17 +685,11 @@ def is_reduced_basis(polys, order: MonomialOrder = DEGLEX) -> bool:
     polys = list(polys)
     if not polys:
         return True
-    pk = _packing_for(polys, polys[0].mode, order, polys[0].nvars)
-    key = pk.key
-    packed = [pk.pack_terms(f.terms) for f in polys]
-    # ascending by leading monomial, a divisor is always inserted first
-    red = _Reducer(pk)
-    for terms in sorted(packed, key=lambda t: key(max(t, key=key))):
-        if red.find_divisor(max(terms, key=key)) >= 0:
-            return False
-        red.append(terms)
+    red = GroebnerBasis(polys, order)._reducer
+    find = red.find_divisor
     # a tail monomial is below its own lm, so any divisor is another lm
-    return not any(red.find_divisor(m) >= 0 for tail in red.tails for m in tail)
+    return (all(find(lm) == i for i, lm in enumerate(red.lms))
+            and not any(find(m) >= 0 for tail in red.tails for m in tail))
 
 
 def ideal_membership(f: Polynomial, G: GroebnerBasis) -> bool:

@@ -139,6 +139,9 @@ def test_gb_resource_limit_exit_3(tmp_path, capsys):
     rc, _, stderr = run(capsys, "gb", h3, "--max-pairs", "5")
     assert rc == 3
     assert "pairsGenerated=" in stderr
+    # the count the cap compares, past the cap
+    queued = [line for line in stderr.splitlines() if line.startswith("pairsQueued=")]
+    assert len(queued) == 1 and int(queued[0].partition("=")[2]) > 5
 
 
 def test_caps_env_var(tmp_path, capsys, monkeypatch):
@@ -392,6 +395,14 @@ def test_verify_point_cap_bounds_standard_monomial_count(capsys, monkeypatch):
     assert "V4 SKIPPED: the box of 64 candidate monomials exceeds the 5-bit cap" in stdout
 
 
+def test_verify_reports_every_check_past_the_G_cap(capsys):
+    rc, stdout, _ = run(capsys, "verify", "--n", "13")
+    assert rc == 0
+    assert stdout.splitlines() == [
+        f"{check} SKIPPED: P(13) has 3^13 elements; cap is n <= 12"
+        for check in ("V1", "V2a", "V2b", "V3", "V4")]
+
+
 def test_gen_resource_limit_exit_3(capsys):
     rc, _, stderr = run(capsys, "gen", "--family", "P", "--n", "13")
     assert rc == 3
@@ -420,6 +431,16 @@ def test_gb_deterministic_across_processes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         dumps.append(out.read_bytes())
     assert dumps[0] == dumps[1]
+
+
+def test_cli_import_leaves_out_dataclasses():
+    import subprocess
+    import sys
+
+    code = "import sys, boolgb.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_gb_single_polynomial_file(tmp_path, capsys):

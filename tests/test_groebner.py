@@ -117,6 +117,12 @@ def test_nf_reduces_largest_monomial_with_first_divisor():
     assert r2 == P("y1")
 
 
+def test_nf_first_divisor_in_basis_order():
+    # reducers are tried by ascending leading monomial, so x1 + 1 divides
+    # x1*y1 first although it is listed second
+    assert normal_form(P("x1*y1"), [P("x1*y1+z1"), P("x1+1")], DEGLEX) == P("y1")
+
+
 # ---------------------------------------------------------------------------
 # buchberger
 

@@ -10,6 +10,7 @@ from boolgb import (
     DEGREVLEX,
     FULL,
     GeneratorSet,
+    GroebnerBasis,
     buchberger,
     format_poly,
     interreduce,
@@ -71,18 +72,24 @@ def test_packed_kernels_agree_with_tuple_kernels(mode, order, scale):
         assert first == next(i for i, d in enumerate(monos) if mono_divides(d, a))
 
 
-def test_full_mode_overflow_widens_instead_of_wrapping(monkeypatch):
-    # inputs of degree 63 get one-byte fields (exponents up to 127); the
-    # basis grows y1^125, whose lcm with x1^63 has degree 188
-    widths = []
+@pytest.fixture
+def widths(monkeypatch):
+    """The largest field value of every _Packing built from here on."""
+    built = []
     packing = groebner._Packing
 
     def recording(*args):
         pk = packing(*args)
-        widths.append(pk.fmax)
+        built.append(pk.fmax)
         return pk
 
     monkeypatch.setattr(groebner, "_Packing", recording)
+    return built
+
+
+def test_full_mode_overflow_widens_instead_of_wrapping(widths):
+    # inputs of degree 63 get one-byte fields (exponents up to 127); the
+    # basis grows y1^125, whose lcm with x1^63 has degree 188
     F = GeneratorSet([parse_poly("x1^63+y1", 1), parse_poly("x1*y1^62+z1", 1)],
                      DEGLEX)
     raw, stats = buchberger(F)
@@ -113,6 +120,36 @@ def test_basis_normal_form_matches_list_normal_form(mode, order):
     # a query of higher degree than the basis gets fields wide enough for it
     f = parse_poly("x1^40*y2^30+z1", 2, mode)
     assert normal_form(f, basis) == normal_form(f, list(basis), basis.order)
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_queries_read_the_basis_packing(mode, order, widths):
+    basis = interreduce(buchberger(make_H(2, mode, order))[0])
+    rng = random.Random(17)
+    del widths[:]
+    for _ in range(100):
+        normal_form(random_poly(rng, 2, mode, max_exp=3), basis)
+    assert widths == []
+
+
+def test_query_above_the_basis_fields_is_widened_once(widths):
+    basis = interreduce(buchberger(make_H(2))[0])
+    del widths[:]
+    # degree 210 does not fit the one-byte fields (exponents up to 127);
+    # the field polynomials of H(2) bring every power down to x1*y2
+    f = parse_poly("x1^150*y2^60+z1", 2)
+    assert normal_form(f, basis) == normal_form(parse_poly("x1*y2+z1", 2), basis)
+    assert len(widths) == 1 and widths[0] >= 210
+
+
+def test_strict_interreduce_packs_only_its_result(widths):
+    G2 = list(make_G(2).polynomials)
+    redundant = [parse_poly(t, 2) for t in
+                 ("x1*y2*z1+x1*y2", "x1*z1*z2+x1*z2", "y1*z1*x2+y1*x2")]
+    basis = GroebnerBasis(G2 + redundant, DEGLEX)
+    del widths[:]
+    assert interreduce(basis, strict=True).as_set() == frozenset(G2)
+    assert len(widths) == 1
 
 
 @pytest.mark.parametrize("mode,order,counts", [
