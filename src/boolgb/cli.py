@@ -91,7 +91,11 @@ def _atomic_write(path: str, text: str):
     """Write via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".boolgb-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        # mkstemp creates mode 0600; give the file what open() would
+        os.chmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -166,10 +170,6 @@ def _full_basis(F: GeneratorSet, engine: str, caps: Caps):
 # commands
 
 def cmd_gen(args, caps: Caps) -> int:
-    if args.n > MAX_FILE_N:
-        sys.stderr.write(f"error: --n must be <= {MAX_FILE_N}, the largest n "
-                         f"a generator file may declare\n")
-        return EXIT_USAGE
     F = construction.make_family(args.family, args.n, args.mode, args.order)
     _emit(construction.format_generator_file(F), args.out)
     report = f"family={args.family} n={args.n} count={len(F)}\n"
@@ -193,13 +193,13 @@ def cmd_gb(args, caps: Caps) -> int:
 def _verify_checks(args, caps: Caps):
     """Run the four identity checks for one n; yields (id, status, detail)."""
     n, order = args.n, args.order
-    H = construction.make_H(n, FULL, order)
     try:
         G = construction.make_G(n, FULL, order)
     except ResourceLimitError as exc:
         for check in ("V1", "V2a", "V2b", "V3", "V4"):
             yield (check, "SKIPPED", str(exc))
         return
+    H = construction.make_H(n, FULL, order)
 
     # V1: equal solution sets by exhaustive enumeration
     try:
@@ -416,9 +416,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     caps.pairs = getattr(args, "max_pairs", None) or caps.pairs
     caps.basis = getattr(args, "max_basis", None) or caps.basis
-    if getattr(args, "n", 1) < 1:
-        sys.stderr.write("error: --n must be >= 1\n")
-        return EXIT_USAGE
+    for dest in ("n", "n_max"):
+        n = getattr(args, dest, None)
+        if n is not None and not 1 <= n <= MAX_FILE_N:
+            sys.stderr.write(f"error: --{dest.replace('_', '-')} must be in "
+                             f"1..{MAX_FILE_N}, the largest n a file may declare\n")
+            return EXIT_USAGE
     command = _COMMANDS[args.command][0]
     try:
         return command(args, caps)

@@ -133,14 +133,12 @@ def make_H(n: int, mode: str = FULL, order: MonomialOrder = DEGLEX) -> Generator
 
 def make_G(n: int, mode: str = FULL, order: MonomialOrder = DEGLEX,
            max_n: int = DEFAULT_MAX_N) -> GeneratorSet:
-    """G(n) = S + L + T + P; 6n+3^n generators in full mode."""
-    polys = []
-    if mode == FULL:
-        polys.extend(make_S(n))
-    polys.extend(make_L(n, mode))
-    polys.extend(make_T(n, mode))
-    polys.extend(make_P(n, mode, max_n=max_n))
-    return GeneratorSet(polys, order)
+    """G(n) = S + L + T + P; 6n+3^n generators in full mode.
+
+    P comes first, so that past its cap nothing else is built."""
+    P = make_P(n, mode, max_n=max_n)
+    S = make_S(n) if mode == FULL else []
+    return GeneratorSet(S + make_L(n, mode) + make_T(n, mode) + P, order)
 
 
 FAMILIES = {

@@ -5,7 +5,9 @@ relations v*v = v are part of the arithmetic, so on top of the ordinary
 S-pairs the algorithm processes one extra task per basis element f and
 variable v in the support of lm(f): the normal form of v*f.  Without
 those tasks the implicit field equations are not covered and the output
-can fail to be a basis of the quotient ideal.
+can fail to be a basis of the quotient ideal.  One kernel, `_task_terms`,
+builds every task, S-pair or field task, for the engine, the predicates
+and `s_polynomial` alike.
 
 Pair selection is the normal strategy (smallest lcm degree, ties broken
 by the monomial order on the lcm, then by pair index).  The update step
@@ -51,10 +53,11 @@ from .polyring import (
     BOOLEAN,
     DEGLEX,
     MODES,
-    ModeMismatchError,
     MonomialOrder,
     Polynomial,
     ZeroPolynomialError,
+    _check_compatible,
+    _sum_mod2,
     get_order,
 )
 # The engine does not call these tuple kernels.  The benchmark's tracer
@@ -128,9 +131,9 @@ class _Packing:
     unkey, divides, first_divisor, lcm, mul, quo and support.
     """
 
-    __slots__ = ("boolean", "fmax", "shifts", "dshift", "pack", "unpack",
-                 "key", "unkey", "divides", "first_divisor", "lcm", "mul",
-                 "quo", "support")
+    __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key",
+                 "unkey", "divides", "first_divisor", "lcm", "mul", "quo",
+                 "support")
 
     def __init__(self, nvars, mode, order, degree):
         boolean = mode == BOOLEAN
@@ -154,7 +157,6 @@ class _Packing:
         self.boolean = boolean
         self.fmax = fmax
         self.shifts = shifts
-        self.dshift = dshift
 
         def unpack(p):
             return tuple((p >> s) & fmax for s in shifts)
@@ -256,23 +258,20 @@ class _Packing:
         return frozenset(map(self.unpack, terms))
 
 
-def _mul_terms(pk, q, terms, acc):
-    """acc + q*terms over F2: the one term-multiply kernel of the engine."""
-    mul = pk.mul
-    for t in terms:
-        p = mul(q, t)
-        if p in acc:
-            acc.discard(p)
-        else:
-            acc.add(p)
-    return acc
-
-
-def _spoly_terms(pk, lmf, f_terms, lmg, g_terms):
-    """Packed term set of the S-polynomial of f and g."""
-    lcm = pk.lcm(lmf, lmg)
-    acc = _mul_terms(pk, pk.quo(lcm, lmf), f_terms, set())
-    return _mul_terms(pk, pk.quo(lcm, lmg), g_terms, acc)
+def _task_terms(pk, lms, terms, kind, i, j):
+    """Packed term set of one task.  Kind 0: the S-polynomial of elements i
+    and j, empty when both are monomials (it is zero over F2).  Kind 1: the
+    Boolean field task v_j*f_i, where a boolean variable is one bit."""
+    mul, ti = pk.mul, terms[i]
+    if kind:
+        q = 1 << pk.shifts[j]
+        return _sum_mod2([mul(q, t) for t in ti])
+    tj = terms[j]
+    if len(ti) == 1 and len(tj) == 1:
+        return set()
+    lcm = pk.lcm(lms[i], lms[j])
+    qi, qj = pk.quo(lcm, lms[i]), pk.quo(lcm, lms[j])
+    return _sum_mod2([mul(qi, t) for t in ti] + [mul(qj, t) for t in tj])
 
 
 def _support_vars(pk, m):
@@ -299,16 +298,12 @@ class GeneratorSet:
             polys.append(f)
         if not polys:
             raise ValueError("generator set needs at least one nonzero polynomial")
-        mode = polys[0].mode
-        nvars = polys[0].nvars
-        for f in polys:
-            if f.mode != mode or f.nvars != nvars:
-                raise ValueError("generators must share one mode and variable count")
+        _check_compatible(*polys)
         self.polynomials = tuple(polys)
         self.order = order
-        self.mode = mode
-        self.nvars = nvars
-        self.n = nvars // 3
+        self.mode = polys[0].mode
+        self.nvars = polys[0].nvars
+        self.n = self.nvars // 3
 
     def __len__(self):
         return len(self.polynomials)
@@ -337,12 +332,8 @@ class GroebnerBasis:
             raise ValueError("basis needs at least one element")
         if any(f.is_zero for f in elements):
             raise ZeroPolynomialError("basis elements must be nonzero")
-        mode = elements[0].mode
-        nvars = elements[0].nvars
-        for f in elements:
-            if f.mode != mode or f.nvars != nvars:
-                raise ModeMismatchError(
-                    "basis elements must share one mode and variable count")
+        _check_compatible(*elements)
+        mode, nvars = elements[0].mode, elements[0].nvars
         pk = _Packing(nvars, mode, order, max(f.degree() for f in elements))
         key = pk.key
         packed = sorted(((pk.pack_terms(f.terms), f) for f in elements),
@@ -468,9 +459,7 @@ def normal_form(f: Polynomial, G, order: MonomialOrder = DEGLEX) -> Polynomial:
         if not G:
             return f
         G = GroebnerBasis(G, order)
-    if G.mode != f.mode or G.nvars != f.nvars:
-        raise ModeMismatchError(
-            "reducers must match the mode and variable count of f")
+    _check_compatible(f, G)
     red = G._reducer
     pk = red.pk
     try:
@@ -488,11 +477,11 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGLEX) ->
     """S-polynomial (lcm/lm(f))*f + (lcm/lm(g))*g; signs vanish over F2."""
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("s_polynomial requires nonzero operands")
-    if f.mode != g.mode or f.nvars != g.nvars:
-        raise ModeMismatchError("operands must share one mode and variable count")
+    _check_compatible(f, g)
     pk = _Packing(f.nvars, f.mode, order, max(f.degree(), g.degree()))
-    tf, tg = pk.pack_terms(f.terms), pk.pack_terms(g.terms)
-    s = _spoly_terms(pk, max(tf, key=pk.key), tf, max(tg, key=pk.key), tg)
+    terms = [pk.pack_terms(f.terms), pk.pack_terms(g.terms)]
+    lms = [max(t, key=pk.key) for t in terms]
+    s = _task_terms(pk, lms, terms, 0, 0, 1)
     return Polynomial(pk.unpack_terms(s), f.nvars, f.mode)
 
 
@@ -586,18 +575,9 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
 
     while heap:
         _, kind, i, j = heapq.heappop(heap)
-        if kind == 0:
-            if live.pop((i, j), None) is None:
-                continue  # pruned by the chain criterion after being queued
-            if len(full_terms[i]) == 1 and len(full_terms[j]) == 1:
-                # S-polynomial of two monomials is identically zero over F2
-                stats.reductions_to_zero += 1
-                continue
-            s_terms = _spoly_terms(pk, lms[i], full_terms[i], lms[j], full_terms[j])
-        else:
-            # field task: v*f, where a boolean variable is one bit
-            s_terms = _mul_terms(pk, 1 << pk.shifts[j], full_terms[i], set())
-        r = _reduce_terms(s_terms, red) if s_terms else frozenset()
+        if kind == 0 and live.pop((i, j), None) is None:
+            continue  # pruned by the chain criterion after being queued
+        r = _reduce_terms(_task_terms(pk, lms, full_terms, kind, i, j), red)
         if r:
             update(r)
         else:
@@ -655,8 +635,6 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
     polys = list(polys)
     if not polys:
         return True
-    if isinstance(order, str):
-        order = get_order(order)
     red = GroebnerBasis(polys, order)._reducer
     pk, lms = red.pk, red.lms
     terms = [(lm, *tail) for lm, tail in zip(lms, red.tails)]
@@ -666,15 +644,13 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
             if use_criteria and masks[i] & masks[j] == 0:
                 continue  # product criterion: provably reduces to zero
             if len(terms[i]) == 1 and len(terms[j]) == 1:
-                continue  # monomial pair: S-polynomial is zero over F2
-            s_terms = _spoly_terms(pk, lms[i], terms[i], lms[j], terms[j])
-            if s_terms and _reduce_terms(s_terms, red):
+                continue  # the kernel's empty task, without the call
+            if _reduce_terms(_task_terms(pk, lms, terms, 0, i, j), red):
                 return False
     if pk.boolean:
         for i, lm in enumerate(lms):
             for v in _support_vars(pk, lm):
-                s_terms = _mul_terms(pk, 1 << pk.shifts[v], terms[i], set())
-                if s_terms and _reduce_terms(s_terms, red):
+                if _reduce_terms(_task_terms(pk, lms, terms, 1, i, v), red):
                     return False
     return True
 

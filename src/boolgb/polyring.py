@@ -247,11 +247,14 @@ def poly_var(flat: int, nvars: int, mode: str = FULL) -> Polynomial:
     return Polynomial((mono_var(flat, nvars),), nvars, mode)
 
 
-def _check_compatible(f: Polynomial, g: Polynomial):
-    if f.mode != g.mode or f.nvars != g.nvars:
-        raise ModeMismatchError(
-            f"incompatible operands: mode {f.mode}/{g.mode}, "
-            f"nvars {f.nvars}/{g.nvars}")
+def _check_compatible(*polys):
+    """Raise ModeMismatchError unless all share one (mode, nvars): the one ring check."""
+    mode, nvars = polys[0].mode, polys[0].nvars
+    for f in polys:
+        if f.mode != mode or f.nvars != nvars:
+            raise ModeMismatchError(
+                f"incompatible operands: mode {mode}/{f.mode}, "
+                f"nvars {nvars}/{f.nvars}")
 
 
 def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -4,6 +4,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import stat
 
 import pytest
 
@@ -267,7 +269,8 @@ def h2_basis_file(tmp_path, capsys):
 
 
 def test_nf_basis_element_is_zero(h2_basis_file, capsys):
-    basis = load_basis(open(h2_basis_file).read())
+    with open(h2_basis_file) as fh:
+        basis = load_basis(fh.read())
     from boolgb import format_poly
     element_text = format_poly(basis.elements[0], basis.order)
     rc, stdout, _ = run(capsys, "nf", element_text, h2_basis_file)
@@ -401,6 +404,18 @@ def test_verify_reports_every_check_past_the_G_cap(capsys):
     assert stdout.splitlines() == [
         f"{check} SKIPPED: P(13) has 3^13 elements; cap is n <= 12"
         for check in ("V1", "V2a", "V2b", "V3", "V4")]
+
+
+def test_verify_past_the_G_cap_builds_no_H(capsys, monkeypatch):
+    from boolgb import construction
+
+    def make_H(*args):
+        raise AssertionError("H(n) built although every check is SKIPPED")
+
+    monkeypatch.setattr(construction, "make_H", make_H)
+    rc, stdout, _ = run(capsys, "verify", "--n", "13")
+    assert rc == 0
+    assert stdout.count("SKIPPED") == 5
 
 
 def test_gen_resource_limit_exit_3(capsys):
@@ -566,6 +581,31 @@ def test_gen_n_beyond_file_bound_exit_2(capsys):
     assert rc == 2
     assert stdout == ""
     assert "1000" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "1001"],
+    ["bench", "--n", "1001"],
+    ["bench", "--n", "2", "--n-max", "1001"],
+])
+def test_n_beyond_file_bound_exit_2_for_every_command(capsys, argv):
+    rc, stdout, stderr = run(capsys, *argv)
+    assert rc == 2
+    assert stdout == ""
+    assert "1..1000" in stderr
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_out_file_mode_follows_umask(tmp_path, capsys, umask, mode):
+    out = tmp_path / "l1.gens"
+    old = os.umask(umask)
+    try:
+        rc, _, _ = run(capsys, "gen", "--family", "L", "--n", "1", "--out", str(out))
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 def test_gb_boolean_engine_all_generators_vanish_exit_2(tmp_path, capsys):

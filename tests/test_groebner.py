@@ -375,6 +375,10 @@ def test_mode_mismatch_rejected():
         sp(f_bool, P("x1"), DEGLEX)
     with pytest.raises(ModeMismatchError):
         GroebnerBasis([P("x1"), f_bool], DEGLEX)
+    with pytest.raises(ModeMismatchError):
+        GeneratorSet([P("x1"), f_bool], DEGLEX)
+    with pytest.raises(ModeMismatchError):
+        GeneratorSet([P("x1"), P("x2", 2)], DEGLEX)
 
 
 def test_boolean_mode_predicates():

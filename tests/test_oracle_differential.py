@@ -2,8 +2,9 @@
 
 Random small systems (n = 1..3) in both ring modes: solution sets
 against `evaluate` at every point of F2^(3n), evaluation membership
-against normal forms from both engines, and the standard-monomial count
-against a brute-force scan of its exponent box.
+against normal forms from both engines, bases of systems with monomial
+generators against the exhaustive predicates and evaluation, and the
+standard-monomial count against a brute-force scan of its exponent box.
 """
 
 import itertools
@@ -25,6 +26,8 @@ from boolgb import (
     evaluate,
     ideal_membership,
     interreduce,
+    is_groebner_basis,
+    is_reduced_basis,
     make_S,
     membership_by_evaluation,
     mono_divides,
@@ -78,6 +81,39 @@ def test_evaluation_membership_matches_both_engines():
                 assert by_eval == ideal_membership(to_boolean(f), bool_basis)
                 assert by_eval == membership_by_evaluation(to_boolean(f), F_bool)
             checked += 1
+
+
+@pytest.mark.parametrize("order", (DEGLEX, DEGREVLEX))
+@pytest.mark.parametrize("mode", (FULL, BOOLEAN))
+def test_systems_with_monomial_generators(mode, order):
+    """The S-polynomial of two monomials is the one task the kernel skips;
+    a mixed pair must still be reduced."""
+    rng = random.Random(239)
+    for n in (1, 2, 3):
+        nvars = 3 * n
+        for _ in range(12 // n):
+            gens = [g for g in (random_poly(rng, n, mode, max_terms=3)
+                                for _ in range(rng.randint(1, 3)))
+                    if not g.is_zero and g.degree() <= 3]
+            count, monos = rng.randint(1, 3), set()
+            while len(monos) < count:
+                m = random_mono(rng, nvars, max_exp=1 if mode == BOOLEAN else 2,
+                                max_deg=3)
+                if any(m):
+                    monos.add(m)
+            gens += [Polynomial((m,), nvars, mode) for m in monos]
+            if mode == FULL:
+                gens += make_S(n)  # evaluation decides membership only with them
+            F = GeneratorSet(gens, order)
+            raw, _ = buchberger(F)
+            assert is_groebner_basis(raw.elements, order, use_criteria=False)
+            reduced = interreduce(raw)
+            assert is_reduced_basis(reduced.elements, order)
+            for _ in range(10):
+                f = random_poly(rng, n, mode, max_terms=4)
+                if rng.random() < 0.5:
+                    f = f * rng.choice(F.polynomials)
+                assert ideal_membership(f, reduced) == membership_by_evaluation(f, F)
 
 
 def brute_force_standard_count(basis):
