@@ -11,10 +11,25 @@ and `s_polynomial` alike.
 
 Pair selection is the normal strategy (smallest lcm degree, ties broken
 by the monomial order on the lcm, then by pair index).  The update step
-is Gebauer-Moeller style: it applies the product criterion (coprime
-leading monomials) and the chain criterion.  Reduction is deterministic:
-always the largest reducible monomial, divided by the first divisor in
-basis order (ascending leading monomial, ties in the order given).
+is Gebauer-Moeller style (JSC 1988): it applies the product criterion
+(coprime leading monomials) and the chain criterion.
+
+- A monomial forms pairs only with the elements that are not monomials,
+  and in boolean mode it gets no field tasks (v*m = m).  The
+  S-polynomial of two monomials is zero, so such a pair counts as
+  processed without being formed, and it still witnesses the chain
+  criterion.
+- The live pairs are indexed for the chain criterion (after the divisor
+  queries of Roune & Stillman, ISSAC 2012).  Each queued pair has a
+  slot; one int has a bit per live slot, and one int column per support
+  bit has a bit per slot whose lcm has that variable.  The pairs whose
+  lcm a new leading monomial may divide are the live slots in every
+  column of its support; `divides` confirms each one, since full-mode
+  columns record which variables occur, not their exponents.
+
+Reduction is deterministic: always the largest reducible monomial,
+divided by the first divisor in basis order (ascending leading monomial,
+ties in the order given).
 
 Inside the engine a monomial is one packed Python int (Monagan & Pearce,
 CASC 2007); exponent tuples are packed where polynomials enter and
@@ -43,6 +58,7 @@ fixes the layout for one (nvars, mode, order, width):
   variable first, with every exponent complemented, for degrevlex).
 """
 
+import collections
 import heapq
 import json
 import operator
@@ -90,12 +106,18 @@ class BasisFormatError(ValueError):
 
 
 class ReductionStats:
-    """Counters for one engine run; the pair cap compares pairs_queued."""
+    """Counters for one engine run; the pair cap compares pairs_queued.
+
+    Every generated candidate (ordinary pair or Boolean field task) is
+    either queued, skipped by a criterion, or never formed because it is
+    a pair of two monomials or a field task of a monomial (pairs_monomial).
+    """
 
     def __init__(self):
         self.pairs_generated = 0
         self.pairs_queued = 0
         self.pairs_skipped_by_criteria = 0
+        self.pairs_monomial = 0
         self.reductions_to_zero = 0
         self.wall_time = 0.0
 
@@ -105,6 +127,7 @@ class ReductionStats:
             f"pairsGenerated={self.pairs_generated}",
             f"pairsQueued={self.pairs_queued}",
             f"pairsSkippedByCriteria={self.pairs_skipped_by_criteria}",
+            f"pairsMonomial={self.pairs_monomial}",
             f"reductionsToZero={self.reductions_to_zero}",
             f"wallTimeMs={int(self.wall_time * 1000)}",
         ]
@@ -260,18 +283,27 @@ class _Packing:
 
 def _task_terms(pk, lms, terms, kind, i, j):
     """Packed term set of one task.  Kind 0: the S-polynomial of elements i
-    and j, empty when both are monomials (it is zero over F2).  Kind 1: the
-    Boolean field task v_j*f_i, where a boolean variable is one bit."""
+    and j.  Kind 1: the Boolean field task v_j*f_i, where a boolean
+    variable is one bit."""
     mul, ti = pk.mul, terms[i]
     if kind:
         q = 1 << pk.shifts[j]
         return _sum_mod2([mul(q, t) for t in ti])
     tj = terms[j]
-    if len(ti) == 1 and len(tj) == 1:
-        return set()
     lcm = pk.lcm(lms[i], lms[j])
     qi, qj = pk.quo(lcm, lms[i]), pk.quo(lcm, lms[j])
     return _sum_mod2([mul(qi, t) for t in ti] + [mul(qj, t) for t in tj])
+
+
+def _bits(m):
+    """Positions of the set bits of a nonnegative int, ascending."""
+    digits = bin(m)[:1:-1]  # least significant bit first
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def _support_vars(pk, m):
@@ -516,32 +548,56 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     lms = red.lms
     masks = []        # support masks of the leading monomials
     full_terms = []   # packed term sets of working elements
-    live = {}         # live ordinary pairs: (i, j) -> lcm
-    heap = []         # (lcm key, kind, i, j); pruned pairs skipped at pop
+    nonmono = []      # indices of the working elements that are not monomials
+    # The live ordinary pairs, indexed for the chain criterion.  Pair s holds
+    # slots[s] = (i, j, lcm) until it is popped or pruned; bit s of `alive`
+    # is set while it is live, and bit s of columns[b] is set when bit b is
+    # in the support of its lcm.
+    slots = []
+    alive = 0
+    columns = collections.defaultdict(int)
+    heap = []         # (lcm key, kind, i, j, slot); pruned pairs skipped at pop
 
     def update(new_terms):
         """Gebauer-Moeller insertion of a new element."""
+        nonlocal alive
         t = len(full_terms)
         if t + 1 > max_basis:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"basis cap exceeded ({max_basis})", stats)
         lmf = max(new_terms, key=key)
         maskf = pk.support(lmf)
+        bits_f = _bits(maskf)
+        monomial = len(new_terms) == 1
 
         stats.pairs_generated += t
         pruned = 0
-        # chain criterion: prune existing pairs made redundant by the new lm
-        for pair, lcm_ij in [item for item in live.items() if divides(lmf, item[1])]:
-            i, j = pair
-            if lcm(lms[i], lmf) != lcm_ij and lcm(lms[j], lmf) != lcm_ij:
-                del live[pair]
+        # chain criterion: prune existing pairs made redundant by the new lm.
+        # Every live lcm that lmf divides has all of lmf's support columns;
+        # full-mode columns do not record exponents, so `divides` confirms.
+        candidates = alive
+        for b in bits_f:
+            candidates &= columns[b]
+        dead = 0
+        for s in _bits(candidates):
+            i, j, lcm_ij = slots[s]
+            if (divides(lmf, lcm_ij) and lcm(lms[i], lmf) != lcm_ij
+                    and lcm(lms[j], lmf) != lcm_ij):
+                slots[s] = None
+                dead |= 1 << s
                 pruned += 1
+        alive ^= dead
 
+        # a monomial pairs only with non-monomials: the S-polynomial of two
+        # monomials is zero, so such a pair counts as processed unformed
+        partners = nonmono if monomial else range(t)
+        stats.pairs_monomial += t - len(partners)
         # group candidate pairs by lcm, keep one representative per minimal lcm
         groups = {}
-        for i, lm in enumerate(lms):
-            groups.setdefault(lcm(lm, lmf), []).append(i)
+        for i in partners:
+            groups.setdefault(lcm(lms[i], lmf), []).append(i)
         minimal = []
+        first_slot = len(slots)
         for lcm_f in sorted(groups, key=key):
             members = groups[lcm_f]  # ascending indices
             if first_divisor(minimal, lcm_f) >= 0:
@@ -552,20 +608,35 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             if any(masks[i] & maskf == 0 for i in members):
                 pruned += len(members)
             else:
-                live[(members[0], t)] = lcm_f
-                heapq.heappush(heap, (key(lcm_f), 0, members[0], t))
+                s = len(slots)
+                slots.append((members[0], t, lcm_f))
+                # the support of lcm(lm_i, lmf) is the union of theirs:
+                # lm_i's other bits here, lmf's for every new slot below
+                for b in _bits(masks[members[0]] & ~maskf):
+                    columns[b] |= 1 << s
+                heapq.heappush(heap, (key(lcm_f), 0, members[0], t, s))
                 stats.pairs_queued += 1
                 pruned += len(members) - 1
         stats.pairs_skipped_by_criteria += pruned
+        new_slots = (1 << len(slots)) - (1 << first_slot)
+        alive |= new_slots
+        for b in bits_f:
+            columns[b] |= new_slots
 
         full_terms.append(new_terms)
         red.append(new_terms)
         masks.append(maskf)
         if pk.boolean:
-            for v in _support_vars(pk, lmf):
-                stats.pairs_generated += 1
-                stats.pairs_queued += 1
-                heapq.heappush(heap, (key(lmf), 1, t, v))
+            support_vars = _support_vars(pk, lmf)
+            stats.pairs_generated += len(support_vars)
+            if monomial:
+                stats.pairs_monomial += len(support_vars)  # v*m = m
+            else:
+                stats.pairs_queued += len(support_vars)
+                for v in support_vars:
+                    heapq.heappush(heap, (key(lmf), 1, t, v, -1))
+        if not monomial:
+            nonmono.append(t)
         if stats.pairs_queued > max_pairs:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"pair cap exceeded ({max_pairs})", stats)
@@ -574,9 +645,12 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         update(pk.pack_terms(f.terms))
 
     while heap:
-        _, kind, i, j = heapq.heappop(heap)
-        if kind == 0 and live.pop((i, j), None) is None:
-            continue  # pruned by the chain criterion after being queued
+        _, kind, i, j, s = heapq.heappop(heap)
+        if kind == 0:
+            if slots[s] is None:
+                continue  # pruned by the chain criterion after being queued
+            slots[s] = None
+            alive ^= 1 << s
         r = _reduce_terms(_task_terms(pk, lms, full_terms, kind, i, j), red)
         if r:
             update(r)
@@ -628,9 +702,10 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
                       use_criteria: bool = True) -> bool:
     """True iff every S-polynomial of a pair reduces to zero against the list.
 
-    With use_criteria=False the check is fully exhaustive (no pair is
-    skipped).  In boolean mode the implicit field tasks v*f are checked
-    as well.
+    With use_criteria=False no pair is skipped by the product criterion.
+    In boolean mode the implicit field tasks v*f are checked as well.  A
+    pair of two monomials (zero S-polynomial) and a field task of a
+    monomial (v*m = m) are never formed.
     """
     polys = list(polys)
     if not polys:
@@ -639,18 +714,19 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
     pk, lms = red.pk, red.lms
     terms = [(lm, *tail) for lm, tail in zip(lms, red.tails)]
     masks = [pk.support(lm) for lm in lms]
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
+    nonmono = []  # the non-monomials among elements 0..j-1
+    for j, tj in enumerate(terms):
+        for i in (nonmono if len(tj) == 1 else range(j)):
             if use_criteria and masks[i] & masks[j] == 0:
                 continue  # product criterion: provably reduces to zero
-            if len(terms[i]) == 1 and len(terms[j]) == 1:
-                continue  # the kernel's empty task, without the call
             if _reduce_terms(_task_terms(pk, lms, terms, 0, i, j), red):
                 return False
-    if pk.boolean:
-        for i, lm in enumerate(lms):
-            for v in _support_vars(pk, lm):
-                if _reduce_terms(_task_terms(pk, lms, terms, 1, i, v), red):
+        if len(tj) == 1:
+            continue
+        nonmono.append(j)
+        if pk.boolean:
+            for v in _support_vars(pk, lms[j]):
+                if _reduce_terms(_task_terms(pk, lms, terms, 1, j, v), red):
                     return False
     return True
 

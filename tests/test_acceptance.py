@@ -1,12 +1,13 @@
 """Acceptance suite: one test per gating criterion, exact tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL
-line per criterion.  The stretch targets (the n=6 basis, the n=7 oracle
-identities) are not gating and run only when BOOLGB_STRETCH=1 is set.
+line per criterion.  The stretch targets (the n=6 and n=8 bases, the n=7
+oracle identities) are not gating and run only when BOOLGB_STRETCH=1 is set.
 """
 
 import os
 import random
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from boolgb import (
     BOOLEAN,
     DEGLEX,
+    DEGREVLEX,
     FULL,
     GeneratorSet,
     GroebnerBasis,
@@ -66,6 +68,26 @@ def test_blowup_stretch_n6(reduced_h):
     with report("stretch n=6 -> 765 elements under 15 min"):
         basis, elapsed = reduced_h(6)
         assert len(basis) == 765
+        assert elapsed < 900.0
+
+
+@pytest.mark.skipif(os.environ.get("BOOLGB_STRETCH") != "1",
+                    reason="stretch target; set BOOLGB_STRETCH=1 to run")
+def test_blowup_stretch_n8(reduced_h):
+    """The interreduced basis of H(8) is G(8): 6n+3^n = 6609 elements in
+    the full ring under deglex, 3n+3^n = 6585 in the Boolean ring under
+    degrevlex."""
+    with report("stretch n=8 -> G(8), full deglex and Boolean degrevlex, "
+                "under 15 min each"):
+        basis, elapsed = reduced_h(8)
+        assert len(basis) == 6609
+        assert basis.as_set() == frozenset(make_G(8).polynomials)
+        assert elapsed < 900.0
+        start = time.perf_counter()
+        basis = interreduce(buchberger(make_H(8, BOOLEAN, DEGREVLEX))[0])
+        elapsed = time.perf_counter() - start
+        assert len(basis) == 6585
+        assert basis.as_set() == frozenset(make_G(8, BOOLEAN, DEGREVLEX).polynomials)
         assert elapsed < 900.0
 
 
@@ -230,7 +252,6 @@ def test_property_suites(reduced_h):
             assert normal_form(r, basis) == r
             assert normal_form(poly_add(f, r), basis).is_zero
 
-        from boolgb import DEGREVLEX
         for _ in range(1000):  # parse/format round-trip
             mode = rng.choice((FULL, BOOLEAN))
             n = rng.randint(1, 4)

@@ -153,12 +153,14 @@ def test_buchberger_pair_cap():
 
 @pytest.mark.parametrize("mode", [FULL, BOOLEAN])
 def test_pair_cap_counts_queued_pairs(mode):
-    # H(2) queues 70 pairs, field tasks included; it generates more candidates
-    raw, stats = buchberger(make_H(2, mode), max_pairs=70)
+    # H(2) queues this many pairs, field tasks included; it generates more
+    # candidates
+    queued = {FULL: 67, BOOLEAN: 52}[mode]
+    raw, stats = buchberger(make_H(2, mode), max_pairs=queued)
     assert len(interreduce(raw)) == (21 if mode == FULL else 15)
-    assert stats.pairs_generated > 70
+    assert stats.pairs_generated > queued
     with pytest.raises(ResourceLimitError):
-        buchberger(make_H(2, mode), max_pairs=69)
+        buchberger(make_H(2, mode), max_pairs=queued - 1)
 
 
 def test_buchberger_basis_cap():
@@ -222,6 +224,8 @@ def test_is_groebner_basis_small_cases():
     assert is_groebner_basis([P("x1*y1+x1"), P("x1")], DEGLEX)
     assert is_groebner_basis([P("x1*y1+z1")], DEGLEX)
     assert not is_groebner_basis([P("x1*y1"), P("x1+y1")], DEGLEX)
+    # the monomial comes first in basis order; S = z1 is irreducible
+    assert not is_groebner_basis([P("x1*y1+z1"), P("y1")], DEGLEX)
     # exhaustive mode agrees
     assert is_groebner_basis(list(make_G(2).polynomials), DEGLEX, use_criteria=False)
 
@@ -352,6 +356,18 @@ def test_stats_invariants():
     assert "pairsGenerated=" in block and "basisSize=" in block
 
 
+@pytest.mark.parametrize("order", [DEGLEX, DEGREVLEX])
+@pytest.mark.parametrize("mode", [FULL, BOOLEAN])
+def test_every_candidate_is_queued_skipped_or_monomial(mode, order):
+    for n in (2, 3, 4, 5):
+        _, stats = buchberger(make_H(n, mode, order))
+        assert stats.pairs_monomial > 0
+        assert stats.pairs_generated == (stats.pairs_queued
+                                         + stats.pairs_skipped_by_criteria
+                                         + stats.pairs_monomial), n
+        assert f"pairsMonomial={stats.pairs_monomial}\n" in stats.as_block()
+
+
 def test_basis_rejects_zero_elements():
     with pytest.raises(ZeroPolynomialError):
         GroebnerBasis([P("x1"), poly_zero(3)], DEGLEX)
@@ -360,10 +376,27 @@ def test_basis_rejects_zero_elements():
 
 
 def test_ideal_containing_one():
-    raw, _ = buchberger(GeneratorSet([P("x1+1"), P("x1")], DEGLEX))
-    red = interreduce(raw)
-    assert [format_poly(g) for g in red] == ["1"]
-    assert normal_form(P("x1*y1+z1"), red).is_zero
+    for mode in (FULL, BOOLEAN):
+        for gens in (("x1+1", "x1"), ("x1", "x1+1"),
+                     # pairs are still live when 1 (empty support) arrives
+                     ("x1*y1+z1", "y1*z1+x1", "x1", "x1+1")):
+            F = GeneratorSet([P(g, 1, mode) for g in gens], DEGLEX)
+            red = interreduce(buchberger(F)[0])
+            assert [format_poly(g) for g in red] == ["1"], (mode, gens)
+            assert normal_form(P("x1*y1+z1", 1, mode), red).is_zero
+
+
+@pytest.mark.parametrize("gens,order", [
+    # lm z1^2 arrives while the pair with lcm x1*y1*z1 is live
+    (("y1+1", "x1*y1*z1", "y1*z1+z1^2"), DEGLEX),
+    (("x1^2*z1+1", "y1^2*z1+z1+1", "x1^2*y1+x1+1", "x1^2*y1"), DEGREVLEX),
+])
+def test_chain_criterion_checks_exponents_in_full_mode(gens, order):
+    """The full-mode support columns record which variables occur, not
+    their exponents: a new lm whose support the lcm of a live pair holds,
+    but which does not divide it, must not prune that pair."""
+    raw, _ = buchberger(GeneratorSet([P(g) for g in gens], order))
+    assert is_groebner_basis(raw.elements, order, use_criteria=False)
 
 
 def test_mode_mismatch_rejected():
