@@ -26,6 +26,7 @@ from .groebner import (
 )
 from .oracle import DEFAULT_MAX_BITS, TooManyVariablesError, _mono_table, exponent_table
 from .polyring import (
+    BOOLEAN,
     DEGLEX,
     FULL,
     MODES,
@@ -207,8 +208,9 @@ def count_standard_monomials(G: GroebnerBasis,
     """Number of monomials divisible by no leading monomial of G.
 
     Requires a pure-power leading monomial c^k for every variable (the
-    ideal is zero-dimensional with per-variable bound k); candidates are
-    the box of exponents below the bounds, bit-sliced: the box size minus
+    ideal is zero-dimensional with per-variable bound k); in boolean mode
+    v*v = v bounds every variable by 2 without one.  Candidates are the
+    box of exponents below the bounds, bit-sliced: the box size minus
     the popcount of the OR over leading monomials of the AND of their
     factors' exponent tables.  Raises TooManyVariablesError when the box
     has more than 2^max_bits monomials.  For the H and G families every
@@ -218,7 +220,7 @@ def count_standard_monomials(G: GroebnerBasis,
     lms = G.leading_monomials()
     if any(not any(lm) for lm in lms):
         return 0  # the ideal is the whole ring; nothing is standard
-    bounds = [None] * nvars
+    bounds = [2 if G.mode == BOOLEAN else None] * nvars
     for lm in lms:
         support = [v for v, e in enumerate(lm) if e]
         if len(support) == 1:

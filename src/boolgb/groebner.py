@@ -12,24 +12,22 @@ and `s_polynomial` alike.
 Pair selection is the normal strategy (smallest lcm degree, ties broken
 by the monomial order on the lcm, then by pair index).  The update step
 is Gebauer-Moeller style (JSC 1988): it applies the product criterion
-(coprime leading monomials) and the chain criterion.
+(coprime leading monomials) and the chain criterion.  A monomial pairs
+only with the elements that are not monomials, and in boolean mode gets
+no field tasks (v*m = m); a pair of two monomials has a zero
+S-polynomial, so it counts as processed unformed and still witnesses
+the chain criterion.
 
-- A monomial forms pairs only with the elements that are not monomials,
-  and in boolean mode it gets no field tasks (v*m = m).  The
-  S-polynomial of two monomials is zero, so such a pair counts as
-  processed without being formed, and it still witnesses the chain
-  criterion.
-- The live pairs are indexed for the chain criterion (after the divisor
-  queries of Roune & Stillman, ISSAC 2012).  Each queued pair has a
-  slot; one int has a bit per live slot, and one int column per support
-  bit has a bit per slot whose lcm has that variable.  The pairs whose
-  lcm a new leading monomial may divide are the live slots in every
-  column of its support; `divides` confirms each one, since full-mode
-  columns record which variables occur, not their exponents.
-
-Reduction is deterministic: always the largest reducible monomial,
-divided by the first divisor in basis order (ascending leading monomial,
-ties in the order given).
+Divisibility searches read a support index (after Roune & Stillman,
+ISSAC 2012): monomials in numbered slots, one int with a bit per live
+slot, and one int column per support bit with a bit per slot whose
+monomial has that variable.  The divisors of m are among the live slots
+in no column of a variable m lacks, its multiples among those in every
+column of its support; `divides` confirms each, as a full-mode support
+ignores exponents.  The reducer indexes its leading monomials: reduction
+always divides the largest reducible monomial by its first divisor in
+basis order (ascending leading monomial, ties in the order given).  The
+engine indexes the lcms of its live pairs for the chain criterion.
 
 Inside the engine a monomial is one packed Python int (Monagan & Pearce,
 CASC 2007); exponent tuples are packed where polynomials enter and
@@ -151,12 +149,11 @@ class _Packing:
     """Packed-int monomials for one ring, order and field width.
 
     Attributes that are callables are the kernels: pack, unpack, key,
-    unkey, divides, first_divisor, lcm, mul, quo and support.
+    unkey, divides, lcm, mul, quo and support.
     """
 
     __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key",
-                 "unkey", "divides", "first_divisor", "lcm", "mul", "quo",
-                 "support")
+                 "unkey", "divides", "lcm", "mul", "quo", "support")
 
     def __init__(self, nvars, mode, order, degree):
         boolean = mode == BOOLEAN
@@ -194,18 +191,11 @@ class _Packing:
                 def pack(m):
                     return int(bytes(m[::-1]).translate(_BITS), 2)
 
-            def first_divisor(divisors, m):
-                for i, d in enumerate(divisors):
-                    if d & m == d:
-                        return i
-                return -1
-
             self.pack = pack
             self.unpack = unpack
             self.key = lambda m: (m.bit_count() << nvars) | (m ^ flip)
             self.unkey = lambda k: (k & vars_mask) ^ flip
             self.divides = lambda a, b: a & b == a
-            self.first_divisor = first_divisor
             self.lcm = self.mul = int.__or__
             self.quo = int.__xor__
             self.support = int
@@ -256,18 +246,10 @@ class _Packing:
                 raise _Overflow(p >> dshift)
             return p
 
-        def first_divisor(divisors, m):
-            mg = m | guard
-            for i, d in enumerate(divisors):
-                if (mg - d) & guard == guard:
-                    return i
-            return -1
-
         self.pack = pack
         self.unpack = unpack
         self.key = self.unkey = flip.__xor__
         self.divides = lambda a, b: ((b | guard) - a) & guard == guard
-        self.first_divisor = first_divisor
         self.lcm = lcm
         self.mul = mul
         self.quo = int.__sub__
@@ -309,6 +291,55 @@ def _bits(m):
 def _support_vars(pk, m):
     """Flat indices of the variables of a packed boolean monomial."""
     return [v for v, s in enumerate(pk.shifts) if m >> s & 1]
+
+
+class _SupportIndex:
+    """Packed monomials in numbered slots, bit-sliced by support; slots are not reused."""
+
+    __slots__ = ("pk", "items", "live", "bits", "columns")
+
+    def __init__(self, pk):
+        self.pk = pk
+        self.items = []  # slot -> monomial, None once removed
+        self.live = 0    # bit s set while slot s holds a monomial
+        self.bits = 0    # every support bit of a monomial ever added
+        self.columns = collections.defaultdict(int)  # support bit -> slots
+
+    def add(self, m):
+        s = len(self.items)
+        self.items.append(m)
+        self.live |= 1 << s
+        support = self.pk.support(m)
+        self.bits |= support
+        for b in _bits(support):
+            self.columns[b] |= 1 << s
+        return s
+
+    def remove(self, s):
+        self.items[s] = None
+        self.live ^= 1 << s
+
+    def first_divisor(self, m):
+        """Lowest live slot whose monomial divides m, or -1."""
+        outside = 0  # slots with a variable that m lacks
+        for b in _bits(self.bits & ~self.pk.support(m)):
+            outside |= self.columns[b]
+        candidates = self.live & ~outside
+        divides, items = self.pk.divides, self.items
+        while candidates:
+            s = (candidates & -candidates).bit_length() - 1
+            if divides(items[s], m):
+                return s
+            candidates &= candidates - 1
+        return -1
+
+    def multiples(self, m):
+        """Live slots whose monomial m divides, ascending."""
+        candidates = self.live
+        for b in _bits(self.pk.support(m)):
+            candidates &= self.columns[b]
+        divides, items = self.pk.divides, self.items
+        return [s for s in _bits(candidates) if divides(m, items[s])]
 
 
 class GeneratorSet:
@@ -399,42 +430,31 @@ class GroebnerBasis:
 # reduction
 
 class _Reducer:
-    """Packed reducer list with a divisor cache."""
+    """Packed reducer list: leading monomial i sits in slot i of its index."""
 
-    __slots__ = ("pk", "lms", "tails", "hits", "misses")
+    __slots__ = ("pk", "index", "lms", "tails", "hits")
 
     def __init__(self, pk, term_sets=()):
         self.pk = pk
-        self.lms = []
+        self.index = _SupportIndex(pk)
+        self.lms = self.index.items
         self.tails = []
-        self.hits = {}       # monomial -> index of first divisor (stable: appends only)
-        self.misses = set()  # monomials no current leading monomial divides
+        self.hits = {}  # monomial -> index of first divisor (stable: appends only)
         for terms in term_sets:
             self.append(terms)
 
     def append(self, terms):
-        if len(terms) == 1:
-            (lm,) = terms
-        else:
-            lm = max(terms, key=self.pk.key)
-        self.lms.append(lm)
+        lm = max(terms, key=self.pk.key)
+        self.index.add(lm)
         self.tails.append(tuple(terms - {lm}))
-        if self.misses:
-            divides = self.pk.divides
-            self.misses = {m for m in self.misses if not divides(lm, m)}
 
     def find_divisor(self, m):
         """Index of the first leading monomial dividing m, or -1."""
-        if m in self.misses:
-            return -1
         idx = self.hits.get(m)
-        if idx is not None:
-            return idx
-        idx = self.pk.first_divisor(self.lms, m)
-        if idx < 0:
-            self.misses.add(m)
-        else:
-            self.hits[m] = idx
+        if idx is None:
+            idx = self.index.first_divisor(m)
+            if idx >= 0:
+                self.hits[m] = idx
         return idx
 
 
@@ -541,7 +561,6 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
 
 def _buchberger(F, pk, max_pairs, max_basis, t0):
     key, lcm, divides = pk.key, pk.lcm, pk.divides
-    first_divisor = pk.first_divisor
     stats = ReductionStats()
 
     red = _Reducer(pk)
@@ -549,44 +568,32 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     masks = []        # support masks of the leading monomials
     full_terms = []   # packed term sets of working elements
     nonmono = []      # indices of the working elements that are not monomials
-    # The live ordinary pairs, indexed for the chain criterion.  Pair s holds
-    # slots[s] = (i, j, lcm) until it is popped or pruned; bit s of `alive`
-    # is set while it is live, and bit s of columns[b] is set when bit b is
-    # in the support of its lcm.
-    slots = []
-    alive = 0
-    columns = collections.defaultdict(int)
+    # the live ordinary pairs by lcm, for the chain criterion; slot s is
+    # pair owners[s] = (i, j) until it is popped or pruned
+    pairs = _SupportIndex(pk)
+    owners = []
     heap = []         # (lcm key, kind, i, j, slot); pruned pairs skipped at pop
 
     def update(new_terms):
         """Gebauer-Moeller insertion of a new element."""
-        nonlocal alive
         t = len(full_terms)
         if t + 1 > max_basis:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"basis cap exceeded ({max_basis})", stats)
         lmf = max(new_terms, key=key)
         maskf = pk.support(lmf)
-        bits_f = _bits(maskf)
         monomial = len(new_terms) == 1
 
         stats.pairs_generated += t
         pruned = 0
-        # chain criterion: prune existing pairs made redundant by the new lm.
-        # Every live lcm that lmf divides has all of lmf's support columns;
-        # full-mode columns do not record exponents, so `divides` confirms.
-        candidates = alive
-        for b in bits_f:
-            candidates &= columns[b]
-        dead = 0
-        for s in _bits(candidates):
-            i, j, lcm_ij = slots[s]
-            if (divides(lmf, lcm_ij) and lcm(lms[i], lmf) != lcm_ij
-                    and lcm(lms[j], lmf) != lcm_ij):
-                slots[s] = None
-                dead |= 1 << s
+        # chain criterion: prune existing pairs made redundant by the new lm
+        for s in pairs.multiples(lmf):
+            i, j = owners[s]
+            lcm_ij = pairs.items[s]
+            if lcm(lms[i], lmf) != lcm_ij and lcm(lms[j], lmf) != lcm_ij:
+                pairs.remove(s)
+                owners[s] = None
                 pruned += 1
-        alive ^= dead
 
         # a monomial pairs only with non-monomials: the S-polynomial of two
         # monomials is zero, so such a pair counts as processed unformed
@@ -597,31 +604,24 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         for i in partners:
             groups.setdefault(lcm(lms[i], lmf), []).append(i)
         minimal = []
-        first_slot = len(slots)
         for lcm_f in sorted(groups, key=key):
             members = groups[lcm_f]  # ascending indices
-            if first_divisor(minimal, lcm_f) >= 0:
-                pruned += len(members)
-                continue
-            minimal.append(lcm_f)
-            # product criterion: coprime leading monomials reduce to zero
-            if any(masks[i] & maskf == 0 for i in members):
-                pruned += len(members)
+            for m in minimal:
+                if divides(m, lcm_f):
+                    pruned += len(members)
+                    break
             else:
-                s = len(slots)
-                slots.append((members[0], t, lcm_f))
-                # the support of lcm(lm_i, lmf) is the union of theirs:
-                # lm_i's other bits here, lmf's for every new slot below
-                for b in _bits(masks[members[0]] & ~maskf):
-                    columns[b] |= 1 << s
-                heapq.heappush(heap, (key(lcm_f), 0, members[0], t, s))
-                stats.pairs_queued += 1
-                pruned += len(members) - 1
+                minimal.append(lcm_f)
+                # product criterion: coprime leading monomials reduce to zero
+                if any(masks[i] & maskf == 0 for i in members):
+                    pruned += len(members)
+                else:
+                    s = pairs.add(lcm_f)
+                    owners.append((members[0], t))
+                    heapq.heappush(heap, (key(lcm_f), 0, members[0], t, s))
+                    stats.pairs_queued += 1
+                    pruned += len(members) - 1
         stats.pairs_skipped_by_criteria += pruned
-        new_slots = (1 << len(slots)) - (1 << first_slot)
-        alive |= new_slots
-        for b in bits_f:
-            columns[b] |= new_slots
 
         full_terms.append(new_terms)
         red.append(new_terms)
@@ -647,10 +647,10 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     while heap:
         _, kind, i, j, s = heapq.heappop(heap)
         if kind == 0:
-            if slots[s] is None:
+            if owners[s] is None:
                 continue  # pruned by the chain criterion after being queued
-            slots[s] = None
-            alive ^= 1 << s
+            pairs.remove(s)
+            owners[s] = None
         r = _reduce_terms(_task_terms(pk, lms, full_terms, kind, i, j), red)
         if r:
             update(r)

@@ -7,6 +7,7 @@ import pytest
 from boolgb import (
     BOOLEAN,
     DEGLEX,
+    DEGREVLEX,
     FULL,
     GroebnerBasis,
     NotZeroDimensionalError,
@@ -224,6 +225,17 @@ def test_count_standard_monomials_box_cap():
                          DEGLEX, reduced=True)  # a box of 2^25 monomials
     with pytest.raises(TooManyVariablesError):
         count_standard_monomials(huge)
+
+
+@pytest.mark.parametrize("order", [DEGLEX, DEGREVLEX])
+def test_count_standard_monomials_boolean_bounds_every_variable(order):
+    # v*v = v: no field polynomial is needed to bound a boolean variable
+    for n in range(1, 6):
+        G = make_G(n, BOOLEAN, order)
+        basis = GroebnerBasis(list(G.polynomials), order, reduced=True)
+        assert count_standard_monomials(basis) == 4 ** n - 3 ** n
+        reduced = interreduce(buchberger(make_H(n, BOOLEAN, order))[0])
+        assert count_standard_monomials(reduced) == 4 ** n - 3 ** n
 
 
 def test_count_standard_monomials_rejects_positive_dimension():

@@ -68,8 +68,30 @@ def test_packed_kernels_agree_with_tuple_kernels(mode, order, scale):
             assert pk.unpack(pk.mul(pa, pb)) == mono_mul(a, b, mode)
             assert (pk.support(pa) & pk.support(pb) == 0) == (
                 not any(x and y for x, y in zip(a, b)))
-        first = pk.first_divisor([pk.pack(d) for d in monos], pk.pack(a))
-        assert first == next(i for i, d in enumerate(monos) if mono_divides(d, a))
+    # the divisor index, before and after every third slot is removed
+    index = groebner._SupportIndex(pk)
+    assert [index.add(pk.pack(d)) for d in monos] == list(range(len(monos)))
+    live = list(range(len(monos)))
+    for removing in (False, True):
+        if removing:
+            for s in live[::3]:
+                index.remove(s)
+            del live[::3]
+        for a in monos:
+            divisors = [i for i in live if mono_divides(monos[i], a)]
+            assert index.first_divisor(pk.pack(a)) == (divisors or [-1])[0]
+            assert index.multiples(pk.pack(a)) == [
+                i for i in live if mono_divides(a, monos[i])]
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_reducer_finds_a_divisor_appended_after_a_miss(mode, order):
+    pk = groebner._Packing(3, mode, order, 3)
+    red = groebner._Reducer(pk, [frozenset({pk.pack((0, 1, 0))})])
+    m = pk.pack((1, 0, 1))
+    assert red.find_divisor(m) == -1
+    red.append(frozenset({pk.pack((1, 0, 0)), pk.pack((0, 0, 1))}))
+    assert red.find_divisor(m) == 1
 
 
 @pytest.fixture
