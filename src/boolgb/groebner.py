@@ -16,7 +16,15 @@ is Gebauer-Moeller style (JSC 1988): it applies the product criterion
 only with the elements that are not monomials, and in boolean mode gets
 no field tasks (v*m = m); a pair of two monomials has a zero
 S-polynomial, so it counts as processed unformed and still witnesses
-the chain criterion.
+the chain criterion.  A pair of a monomial m and an element f with
+g = gcd(m, lm f) has the S-polynomial (m/g)*tail(f); the monomial
+criterion drops it when g divides every tail monomial of f, since then
+m divides every monomial of it.  It is the product criterion's
+generalization (g = 1) and acts exactly like it: a group of pairs with
+one lcm is dropped when one member meets either criterion, and its lcm
+still prunes the larger lcms of the same update.  That scan compares an
+lcm only with the minimal lcms of lower degree, as two distinct
+monomials of one degree never divide each other.
 
 Divisibility searches read a support index (after Roune & Stillman,
 ISSAC 2012): monomials in numbered slots, one int with a bit per live
@@ -149,11 +157,11 @@ class _Packing:
     """Packed-int monomials for one ring, order and field width.
 
     Attributes that are callables are the kernels: pack, unpack, key,
-    unkey, divides, lcm, mul, quo and support.
+    unkey, degree, divides, lcm, mul, quo and support.
     """
 
     __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key",
-                 "unkey", "divides", "lcm", "mul", "quo", "support")
+                 "unkey", "degree", "divides", "lcm", "mul", "quo", "support")
 
     def __init__(self, nvars, mode, order, degree):
         boolean = mode == BOOLEAN
@@ -195,6 +203,7 @@ class _Packing:
             self.unpack = unpack
             self.key = lambda m: (m.bit_count() << nvars) | (m ^ flip)
             self.unkey = lambda k: (k & vars_mask) ^ flip
+            self.degree = int.bit_count
             self.divides = lambda a, b: a & b == a
             self.lcm = self.mul = int.__or__
             self.quo = int.__xor__
@@ -249,6 +258,7 @@ class _Packing:
         self.pack = pack
         self.unpack = unpack
         self.key = self.unkey = flip.__xor__
+        self.degree = lambda m: m >> dshift
         self.divides = lambda a, b: ((b | guard) - a) & guard == guard
         self.lcm = lcm
         self.mul = mul
@@ -275,6 +285,19 @@ def _task_terms(pk, lms, terms, kind, i, j):
     lcm = pk.lcm(lms[i], lms[j])
     qi, qj = pk.quo(lcm, lms[i]), pk.quo(lcm, lms[j])
     return _sum_mod2([mul(qi, t) for t in ti] + [mul(qj, t) for t in tj])
+
+
+def _monomial_pair_is_zero(pk, m, lm, tail, lcm):
+    """True when the S-pair of the monomial m and an element with leading
+    monomial lm and tail `tail` (lcm = lcm(m, lm)) reduces to zero by m.
+
+    Its S-polynomial is (m/g)*tail with g = gcd(m, lm) (m & ~lm in the
+    Boolean ring); when g divides every tail monomial, each of its
+    monomials is a multiple of m.  g = 1 is the product criterion.
+    """
+    g = pk.quo(lm, pk.quo(lcm, m))
+    divides = pk.divides
+    return all(divides(g, t) for t in tail)
 
 
 def _bits(m):
@@ -305,15 +328,23 @@ class _SupportIndex:
         self.bits = 0    # every support bit of a monomial ever added
         self.columns = collections.defaultdict(int)  # support bit -> slots
 
-    def add(self, m):
-        s = len(self.items)
-        self.items.append(m)
-        self.live |= 1 << s
-        support = self.pk.support(m)
-        self.bits |= support
-        for b in _bits(support):
-            self.columns[b] |= 1 << s
-        return s
+    def add(self, monomials):
+        """Put the monomials in the next slots, in order; returns the first."""
+        first = len(self.items)
+        self.items += monomials
+        self.live |= ((1 << len(monomials)) - 1) << first
+        # columns of this batch alone, numbered from 0, so that each long
+        # column is copied once per batch instead of once per monomial
+        local = collections.defaultdict(int)
+        support = self.pk.support
+        for k, m in enumerate(monomials):
+            for b in _bits(support(m)):
+                local[b] |= 1 << k
+        columns = self.columns
+        for b, column in local.items():
+            columns[b] |= column << first
+            self.bits |= 1 << b
+        return first
 
     def remove(self, s):
         self.items[s] = None
@@ -440,13 +471,13 @@ class _Reducer:
         self.lms = self.index.items
         self.tails = []
         self.hits = {}  # monomial -> index of first divisor (stable: appends only)
-        for terms in term_sets:
-            self.append(terms)
+        self.extend(term_sets)
 
-    def append(self, terms):
-        lm = max(terms, key=self.pk.key)
-        self.index.add(lm)
-        self.tails.append(tuple(terms - {lm}))
+    def extend(self, term_sets):
+        key = self.pk.key
+        lms = [max(terms, key=key) for terms in term_sets]
+        self.index.add(lms)
+        self.tails += [tuple(terms - {lm}) for terms, lm in zip(term_sets, lms)]
 
     def find_divisor(self, m):
         """Index of the first leading monomial dividing m, or -1."""
@@ -560,11 +591,11 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
 
 
 def _buchberger(F, pk, max_pairs, max_basis, t0):
-    key, lcm, divides = pk.key, pk.lcm, pk.divides
+    key, degree, lcm, divides = pk.key, pk.degree, pk.lcm, pk.divides
     stats = ReductionStats()
 
     red = _Reducer(pk)
-    lms = red.lms
+    lms, tails = red.lms, red.tails
     masks = []        # support masks of the leading monomials
     full_terms = []   # packed term sets of working elements
     nonmono = []      # indices of the working elements that are not monomials
@@ -580,9 +611,11 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         if t + 1 > max_basis:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"basis cap exceeded ({max_basis})", stats)
-        lmf = max(new_terms, key=key)
+        full_terms.append(new_terms)
+        red.extend([new_terms])
+        lmf, tailf = lms[t], tails[t]
         maskf = pk.support(lmf)
-        monomial = len(new_terms) == 1
+        monomial = not tailf
 
         stats.pairs_generated += t
         pruned = 0
@@ -603,28 +636,47 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         groups = {}
         for i in partners:
             groups.setdefault(lcm(lms[i], lmf), []).append(i)
-        minimal = []
+        # groups come by key, so by degree, and two distinct lcms of one
+        # degree never divide each other: scan only the lower degrees
+        minimal = []  # minimal lcms of lower degree than lcm_f
+        level = []    # minimal lcms of the degree of lcm_f
+        d = -1
+        queued, firsts = [], []
         for lcm_f in sorted(groups, key=key):
+            if degree(lcm_f) != d:
+                d = degree(lcm_f)
+                minimal += level
+                level = []
             members = groups[lcm_f]  # ascending indices
             for m in minimal:
                 if divides(m, lcm_f):
                     pruned += len(members)
                     break
             else:
-                minimal.append(lcm_f)
-                # product criterion: coprime leading monomials reduce to zero
-                if any(masks[i] & maskf == 0 for i in members):
+                level.append(lcm_f)
+                # a pair known to reduce to zero drops its group: the
+                # monomial criterion, or for two non-monomials the
+                # product criterion (coprime leading monomials)
+                if monomial:
+                    zero = any(_monomial_pair_is_zero(pk, lmf, lms[i], tails[i], lcm_f)
+                               for i in members)
+                else:
+                    zero = any(_monomial_pair_is_zero(pk, lms[i], lmf, tailf, lcm_f)
+                               if not tails[i] else masks[i] & maskf == 0
+                               for i in members)
+                if zero:
                     pruned += len(members)
                 else:
-                    s = pairs.add(lcm_f)
-                    owners.append((members[0], t))
-                    heapq.heappush(heap, (key(lcm_f), 0, members[0], t, s))
-                    stats.pairs_queued += 1
+                    queued.append(lcm_f)
+                    firsts.append(members[0])
                     pruned += len(members) - 1
         stats.pairs_skipped_by_criteria += pruned
+        first = pairs.add(queued)
+        for s, (lcm_f, i) in enumerate(zip(queued, firsts), first):
+            owners.append((i, t))
+            heapq.heappush(heap, (key(lcm_f), 0, i, t, s))
+        stats.pairs_queued += len(queued)
 
-        full_terms.append(new_terms)
-        red.append(new_terms)
         masks.append(maskf)
         if pk.boolean:
             support_vars = _support_vars(pk, lmf)
@@ -703,9 +755,11 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
     """True iff every S-polynomial of a pair reduces to zero against the list.
 
     With use_criteria=False no pair is skipped by the product criterion.
-    In boolean mode the implicit field tasks v*f are checked as well.  A
-    pair of two monomials (zero S-polynomial) and a field task of a
-    monomial (v*m = m) are never formed.
+    It is the only criterion here: the engine's monomial criterion is left
+    out, so that this check stays independent of it.  In boolean mode the
+    implicit field tasks v*f are checked as well.  A pair of two monomials
+    (zero S-polynomial) and a field task of a monomial (v*m = m) are never
+    formed.
     """
     polys = list(polys)
     if not polys:

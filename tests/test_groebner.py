@@ -155,7 +155,7 @@ def test_buchberger_pair_cap():
 def test_pair_cap_counts_queued_pairs(mode):
     # H(2) queues this many pairs, field tasks included; it generates more
     # candidates
-    queued = {FULL: 67, BOOLEAN: 52}[mode]
+    queued = {FULL: 37, BOOLEAN: 40}[mode]
     raw, stats = buchberger(make_H(2, mode), max_pairs=queued)
     assert len(interreduce(raw)) == (21 if mode == FULL else 15)
     assert stats.pairs_generated > queued

@@ -1,5 +1,6 @@
 """Packed-int monomials inside the engine: layout, kernels and overflow."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,7 +12,9 @@ from boolgb import (
     FULL,
     GeneratorSet,
     GroebnerBasis,
+    Polynomial,
     buchberger,
+    dump_basis,
     format_poly,
     interreduce,
     is_groebner_basis,
@@ -22,6 +25,7 @@ from boolgb import (
     mono_mul,
     normal_form,
     parse_poly,
+    s_polynomial,
 )
 from boolgb import groebner
 from test_polyring import random_poly
@@ -68,20 +72,26 @@ def test_packed_kernels_agree_with_tuple_kernels(mode, order, scale):
             assert pk.unpack(pk.mul(pa, pb)) == mono_mul(a, b, mode)
             assert (pk.support(pa) & pk.support(pb) == 0) == (
                 not any(x and y for x, y in zip(a, b)))
-    # the divisor index, before and after every third slot is removed
-    index = groebner._SupportIndex(pk)
-    assert [index.add(pk.pack(d)) for d in monos] == list(range(len(monos)))
+    # the divisor index, filled one monomial at a time and in two batches,
+    # before and after every third slot is removed
+    packed = [pk.pack(d) for d in monos]
+    single, batched = groebner._SupportIndex(pk), groebner._SupportIndex(pk)
+    assert [single.add([p]) for p in packed] == list(range(len(monos)))
+    assert (batched.add(packed[:7]), batched.add(packed[7:])) == (0, 7)
+    assert batched.items == single.items == packed
     live = list(range(len(monos)))
     for removing in (False, True):
         if removing:
             for s in live[::3]:
-                index.remove(s)
+                single.remove(s)
+                batched.remove(s)
             del live[::3]
         for a in monos:
             divisors = [i for i in live if mono_divides(monos[i], a)]
-            assert index.first_divisor(pk.pack(a)) == (divisors or [-1])[0]
-            assert index.multiples(pk.pack(a)) == [
-                i for i in live if mono_divides(a, monos[i])]
+            multiples = [i for i in live if mono_divides(a, monos[i])]
+            for index in (single, batched):
+                assert index.first_divisor(pk.pack(a)) == (divisors or [-1])[0]
+                assert index.multiples(pk.pack(a)) == multiples
 
 
 @pytest.mark.parametrize("mode,order", CASES)
@@ -90,7 +100,7 @@ def test_reducer_finds_a_divisor_appended_after_a_miss(mode, order):
     red = groebner._Reducer(pk, [frozenset({pk.pack((0, 1, 0))})])
     m = pk.pack((1, 0, 1))
     assert red.find_divisor(m) == -1
-    red.append(frozenset({pk.pack((1, 0, 0)), pk.pack((0, 0, 1))}))
+    red.extend([frozenset({pk.pack((1, 0, 0)), pk.pack((0, 0, 1))})])
     assert red.find_divisor(m) == 1
 
 
@@ -174,14 +184,53 @@ def test_strict_interreduce_packs_only_its_result(widths):
     assert len(widths) == 1
 
 
-@pytest.mark.parametrize("mode,order,counts", [
-    (FULL, DEGLEX, (37128, 3685, 4040, 29403, 3433)),
-    (BOOLEAN, DEGREVLEX, (34398, 2470, 1310, 30618, 2218)),
+@pytest.mark.parametrize("mode,order,counts,digest", [
+    (FULL, DEGLEX, (37128, 1660, 6065, 29403, 1408),
+     "e54957a936aa5786f650edaadb946692b24f599bed88fe01bd373225d50b2a42"),
+    (BOOLEAN, DEGREVLEX, (34398, 1660, 2120, 30618, 1408),
+     "e47432b1576c4c65ebfe084849beededd37850509d06f6691594226badab56cc"),
 ])
-def test_reduction_stats_pinned_at_n5(mode, order, counts):
+def test_reduction_stats_pinned_at_n5(mode, order, counts, digest):
     raw, stats = buchberger(make_H(5, mode, order))
     assert (stats.pairs_generated, stats.pairs_queued,
             stats.pairs_skipped_by_criteria, stats.pairs_monomial,
             stats.reductions_to_zero) == counts
+    # the raw basis, byte for byte, as the engine gave it before the
+    # monomial criterion pruned any pair: a dropped nonzero pair changes it
+    assert hashlib.sha256(dump_basis(raw).encode()).hexdigest() == digest
     assert interreduce(raw).as_set() == frozenset(make_G(5, mode, order).polynomials)
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_monomial_pair_criterion_is_sound(mode, order):
+    # whenever the rule says zero, the S-polynomial reduces to zero by the
+    # monomial alone; g = gcd(m, lm f) != 1 is the case past the product
+    # criterion
+    rng = random.Random(19)
+    fired = past_product = 0
+    for _ in range(3000):
+        f = random_poly(rng, 1, mode, max_terms=4, max_exp=3)
+        if f.is_zero:
+            continue
+        m = random_monomials(rng, 3, mode, 1)[0]
+        pk = groebner._Packing(3, mode, order, max(f.degree(), sum(m)))
+        terms = pk.pack_terms(f.terms)
+        lm, pm = max(terms, key=pk.key), pk.pack(m)
+        if not groebner._monomial_pair_is_zero(pk, pm, lm, terms - {lm},
+                                               pk.lcm(pm, lm)):
+            continue
+        M = Polynomial({m}, 3, mode)
+        assert normal_form(s_polynomial(M, f, order), [M], order).is_zero
+        fired += 1
+        past_product += pk.support(pm) & pk.support(lm) != 0
+    assert fired > 100 and past_product > 50
+    # the engine drops such a pair whether the monomial or the other
+    # element comes last (g = x1 divides the tail x1*z2 or x1*y2); only the
+    # two Boolean field tasks of f are queued
+    f, m = parse_poly("x1*y2+x1*z2", 2, mode), parse_poly("x1*y1", 2, mode)
+    for gens in ([f, m], [m, f]):
+        raw, stats = buchberger(GeneratorSet(gens, order))
+        assert (stats.pairs_queued, stats.pairs_skipped_by_criteria) == (
+            2 if mode == BOOLEAN else 0, 1)
+        assert raw.as_set() == {f, m}
 
