@@ -340,7 +340,7 @@ def cmd_member(args, caps: Caps) -> int:
         F = GeneratorSet(list(basis.elements), basis.order)
         try:
             by_eval = oracle.membership_by_evaluation(f, F, max_bits=caps.points)
-        except oracle.FieldPolysMissingError as exc:
+        except (oracle.FieldPolysMissingError, oracle.TooManyVariablesError) as exc:
             line += " oracle=unavailable"
             sys.stderr.write(f"note: {exc}\n")
         else:

@@ -7,7 +7,9 @@ variable v in the support of lm(f): the normal form of v*f.  Without
 those tasks the implicit field equations are not covered and the output
 can fail to be a basis of the quotient ideal.  One kernel, `_task_terms`,
 builds every task, S-pair or field task, for the engine, the predicates
-and `s_polynomial` alike.
+and `s_polynomial` alike.  It never forms the lcm terms of an S-pair,
+which cancel mod 2: the S-polynomial of f and g is
+(lcm/lm f)*tail(f) + (lcm/lm g)*tail(g).
 
 Pair selection is the normal strategy (smallest lcm degree, ties broken
 by the monomial order on the lcm, then by pair index).  The update step
@@ -38,10 +40,12 @@ basis order (ascending leading monomial, ties in the order given).  The
 engine indexes the lcms of its live pairs for the chain criterion.
 
 Inside the engine a monomial is one packed Python int (Monagan & Pearce,
-CASC 2007); exponent tuples are packed where polynomials enter and
-unpacked where they leave.  A `GroebnerBasis` is packed once, when it is
-built, into the one reducer that every read of it uses.  A `_Packing`
-fixes the layout for one (nvars, mode, order, width):
+CASC 2007), and an element is its packed terms in descending order:
+lm first, then the tail, kept by the reducer as lms[i] and tails[i], the
+engine's one working set.  Exponent tuples are packed where polynomials
+enter and unpacked where they leave.  A `GroebnerBasis` is packed once,
+when it is built, into the one reducer that every read of it uses.  A
+`_Packing` fixes the layout for one (nvars, mode, order, width):
 
 - Boolean mode: a monomial is its support bitmask.  Multiply and lcm
   are `|`, a divides b is `a & b == a`.
@@ -266,25 +270,26 @@ class _Packing:
         # one guard bit per nonzero variable field: a spread support mask
         self.support = lambda m: (m + values) & guard & vars_mask
 
-    def pack_terms(self, terms):
-        return frozenset(map(self.pack, terms))
+    def pack_element(self, terms):
+        """The packed terms of an element, descending: leading monomial first."""
+        return sorted(map(self.pack, terms), key=self.key, reverse=True)
 
     def unpack_terms(self, terms):
         return frozenset(map(self.unpack, terms))
 
 
-def _task_terms(pk, lms, terms, kind, i, j):
-    """Packed term set of one task.  Kind 0: the S-polynomial of elements i
-    and j.  Kind 1: the Boolean field task v_j*f_i, where a boolean
-    variable is one bit."""
-    mul, ti = pk.mul, terms[i]
+def _task_terms(pk, lms, tails, kind, i, j):
+    """Packed term set of one task on elements lms[k] + tails[k].  Kind 0:
+    the S-polynomial of elements i and j, qi*tail_i + qj*tail_j, as the
+    two lcm terms cancel.  Kind 1: the Boolean field task v_j*f_i =
+    lm_i + v_j*tail_i, as v_j*lm_i = lm_i; a boolean variable is one bit."""
+    mul, ti = pk.mul, tails[i]
     if kind:
         q = 1 << pk.shifts[j]
-        return _sum_mod2([mul(q, t) for t in ti])
-    tj = terms[j]
+        return _sum_mod2([lms[i]] + [mul(q, t) for t in ti])
     lcm = pk.lcm(lms[i], lms[j])
     qi, qj = pk.quo(lcm, lms[i]), pk.quo(lcm, lms[j])
-    return _sum_mod2([mul(qi, t) for t in ti] + [mul(qj, t) for t in tj])
+    return _sum_mod2([mul(qi, t) for t in ti] + [mul(qj, t) for t in tails[j]])
 
 
 def _monomial_pair_is_zero(pk, m, lm, tail, lcm):
@@ -429,11 +434,10 @@ class GroebnerBasis:
         _check_compatible(*elements)
         mode, nvars = elements[0].mode, elements[0].nvars
         pk = _Packing(nvars, mode, order, max(f.degree() for f in elements))
-        key = pk.key
-        packed = sorted(((pk.pack_terms(f.terms), f) for f in elements),
-                        key=lambda item: key(max(item[0], key=key)))
+        packed = sorted(((pk.pack_element(f.terms), f) for f in elements),
+                        key=lambda item: pk.key(item[0][0]))
         self.elements = tuple(f for _, f in packed)
-        self._reducer = _Reducer(pk, [terms for terms, _ in packed])
+        self._reducer = _Reducer(pk, [element for element, _ in packed])
         self.order = order
         self.mode = mode
         self.nvars = nvars
@@ -461,23 +465,22 @@ class GroebnerBasis:
 # reduction
 
 class _Reducer:
-    """Packed reducer list: leading monomial i sits in slot i of its index."""
+    """Packed elements lms[i] + tails[i]; lms[i] sits in slot i of the index."""
 
     __slots__ = ("pk", "index", "lms", "tails", "hits")
 
-    def __init__(self, pk, term_sets=()):
+    def __init__(self, pk, elements=()):
         self.pk = pk
         self.index = _SupportIndex(pk)
         self.lms = self.index.items
         self.tails = []
         self.hits = {}  # monomial -> index of first divisor (stable: appends only)
-        self.extend(term_sets)
+        self.extend(elements)
 
-    def extend(self, term_sets):
-        key = self.pk.key
-        lms = [max(terms, key=key) for terms in term_sets]
-        self.index.add(lms)
-        self.tails += [tuple(terms - {lm}) for terms, lm in zip(term_sets, lms)]
+    def extend(self, elements):
+        """Append elements given lm first, the tail descending."""
+        self.index.add([element[0] for element in elements])
+        self.tails += [tuple(element[1:]) for element in elements]
 
     def find_divisor(self, m):
         """Index of the first leading monomial dividing m, or -1."""
@@ -490,7 +493,7 @@ class _Reducer:
 
 
 def _reduce_terms(terms, red: _Reducer):
-    """Full normal form of a packed term set against the reducers.
+    """Full normal form of packed terms against the reducers, descending.
 
     Processes monomials largest-first via a heap of negated keys; every
     replacement monomial is strictly smaller than the one it replaces,
@@ -522,7 +525,7 @@ def _reduce_terms(terms, red: _Reducer):
         q = quo(m, lms[i])
         for t in tails[i]:
             heappush(heap, -key(mul(q, t)))
-    return frozenset(out)
+    return out
 
 
 def normal_form(f: Polynomial, G, order: MonomialOrder = DEGLEX) -> Polynomial:
@@ -546,12 +549,12 @@ def normal_form(f: Polynomial, G, order: MonomialOrder = DEGLEX) -> Polynomial:
     red = G._reducer
     pk = red.pk
     try:
-        terms = pk.pack_terms(f.terms)
+        terms = pk.pack_element(f.terms)
     except _Overflow:
         # a query of higher degree than the fields hold: widen, never wrap
         pk = _Packing(f.nvars, f.mode, G.order, f.degree())
-        red = _Reducer(pk, [pk.pack_terms(g.terms) for g in G.elements])
-        terms = pk.pack_terms(f.terms)
+        red = _Reducer(pk, [pk.pack_element(g.terms) for g in G.elements])
+        terms = pk.pack_element(f.terms)
     r = _reduce_terms(terms, red)
     return Polynomial(pk.unpack_terms(r), f.nvars, f.mode)
 
@@ -562,9 +565,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGLEX) ->
         raise ZeroPolynomialError("s_polynomial requires nonzero operands")
     _check_compatible(f, g)
     pk = _Packing(f.nvars, f.mode, order, max(f.degree(), g.degree()))
-    terms = [pk.pack_terms(f.terms), pk.pack_terms(g.terms)]
-    lms = [max(t, key=pk.key) for t in terms]
-    s = _task_terms(pk, lms, terms, 0, 0, 1)
+    (lf, *tf), (lg, *tg) = pk.pack_element(f.terms), pk.pack_element(g.terms)
+    s = _task_terms(pk, [lf, lg], [tf, tg], 0, 0, 1)
     return Polynomial(pk.unpack_terms(s), f.nvars, f.mode)
 
 
@@ -591,13 +593,11 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
 
 
 def _buchberger(F, pk, max_pairs, max_basis, t0):
-    key, degree, lcm, divides = pk.key, pk.degree, pk.lcm, pk.divides
+    key, degree, lcm, divides, quo = pk.key, pk.degree, pk.lcm, pk.divides, pk.quo
     stats = ReductionStats()
 
-    red = _Reducer(pk)
+    red = _Reducer(pk)  # the working elements, lm first
     lms, tails = red.lms, red.tails
-    masks = []        # support masks of the leading monomials
-    full_terms = []   # packed term sets of working elements
     nonmono = []      # indices of the working elements that are not monomials
     # the live ordinary pairs by lcm, for the chain criterion; slot s is
     # pair owners[s] = (i, j) until it is popped or pruned
@@ -605,16 +605,14 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     owners = []
     heap = []         # (lcm key, kind, i, j, slot); pruned pairs skipped at pop
 
-    def update(new_terms):
-        """Gebauer-Moeller insertion of a new element."""
-        t = len(full_terms)
+    def update(element):
+        """Gebauer-Moeller insertion of a new element, given lm first."""
+        t = len(lms)
         if t + 1 > max_basis:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"basis cap exceeded ({max_basis})", stats)
-        full_terms.append(new_terms)
-        red.extend([new_terms])
+        red.extend([element])
         lmf, tailf = lms[t], tails[t]
-        maskf = pk.support(lmf)
         monomial = not tailf
 
         stats.pairs_generated += t
@@ -656,13 +654,14 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
                 level.append(lcm_f)
                 # a pair known to reduce to zero drops its group: the
                 # monomial criterion, or for two non-monomials the
-                # product criterion (coprime leading monomials)
+                # product criterion (coprime leading monomials: the lcm
+                # is their product)
                 if monomial:
                     zero = any(_monomial_pair_is_zero(pk, lmf, lms[i], tails[i], lcm_f)
                                for i in members)
                 else:
                     zero = any(_monomial_pair_is_zero(pk, lms[i], lmf, tailf, lcm_f)
-                               if not tails[i] else masks[i] & maskf == 0
+                               if not tails[i] else quo(lcm_f, lmf) == lms[i]
                                for i in members)
                 if zero:
                     pruned += len(members)
@@ -677,7 +676,6 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             heapq.heappush(heap, (key(lcm_f), 0, i, t, s))
         stats.pairs_queued += len(queued)
 
-        masks.append(maskf)
         if pk.boolean:
             support_vars = _support_vars(pk, lmf)
             stats.pairs_generated += len(support_vars)
@@ -694,7 +692,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             raise ResourceLimitError(f"pair cap exceeded ({max_pairs})", stats)
 
     for f in F.polynomials:
-        update(pk.pack_terms(f.terms))
+        update(pk.pack_element(f.terms))
 
     while heap:
         _, kind, i, j, s = heapq.heappop(heap)
@@ -703,7 +701,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
                 continue  # pruned by the chain criterion after being queued
             pairs.remove(s)
             owners[s] = None
-        r = _reduce_terms(_task_terms(pk, lms, full_terms, kind, i, j), red)
+        r = _reduce_terms(_task_terms(pk, lms, tails, kind, i, j), red)
         if r:
             update(r)
         else:
@@ -711,8 +709,8 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
 
     stats.wall_time = time.perf_counter() - t0
     basis = GroebnerBasis(
-        [Polynomial(pk.unpack_terms(t), F.nvars, F.mode) for t in full_terms],
-        F.order, reduced=False)
+        [Polynomial(pk.unpack_terms((lm, *tail)), F.nvars, F.mode)
+         for lm, tail in zip(lms, tails)], F.order, reduced=False)
     return basis, stats
 
 
@@ -739,7 +737,7 @@ def interreduce(G: GroebnerBasis, strict: bool = False) -> GroebnerBasis:
             removed.append(f)
         else:
             reduced.append(Polynomial(
-                pk.unpack_terms(_reduce_terms(tail, red) | {lm}), G.nvars, G.mode))
+                pk.unpack_terms((lm, *_reduce_terms(tail, red))), G.nvars, G.mode))
     result = GroebnerBasis(reduced, G.order, reduced=True)
     if strict:
         for f in removed:
@@ -765,22 +763,21 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
     if not polys:
         return True
     red = GroebnerBasis(polys, order)._reducer
-    pk, lms = red.pk, red.lms
-    terms = [(lm, *tail) for lm, tail in zip(lms, red.tails)]
+    pk, lms, tails = red.pk, red.lms, red.tails
     masks = [pk.support(lm) for lm in lms]
     nonmono = []  # the non-monomials among elements 0..j-1
-    for j, tj in enumerate(terms):
-        for i in (nonmono if len(tj) == 1 else range(j)):
+    for j, tail in enumerate(tails):
+        for i in (nonmono if not tail else range(j)):
             if use_criteria and masks[i] & masks[j] == 0:
                 continue  # product criterion: provably reduces to zero
-            if _reduce_terms(_task_terms(pk, lms, terms, 0, i, j), red):
+            if _reduce_terms(_task_terms(pk, lms, tails, 0, i, j), red):
                 return False
-        if len(tj) == 1:
+        if not tail:
             continue
         nonmono.append(j)
         if pk.boolean:
             for v in _support_vars(pk, lms[j]):
-                if _reduce_terms(_task_terms(pk, lms, terms, 1, j, v), red):
+                if _reduce_terms(_task_terms(pk, lms, tails, 1, j, v), red):
                     return False
     return True
 
@@ -839,7 +836,8 @@ def load_basis(text: str) -> GroebnerBasis:
         payload = json.loads(text)
         n, mode, elements = payload["n"], payload["mode"], payload["elements"]
         order = get_order(payload["order"])
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the JSON decoder follows
         raise BasisFormatError(f"not a basis dump: {exc!r}") from None
     if not (_is_int(n) and 1 <= n <= MAX_FILE_N and mode in MODES
             and isinstance(elements, list) and elements):

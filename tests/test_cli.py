@@ -495,12 +495,19 @@ def test_gb_full_engine_on_boolean_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # exit codes at the boundaries
 
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
 @pytest.mark.parametrize("document", [
     '{"n": 1, "mode": "full", "order": "deglex", "elements": [[[[99, 1]]]]}',
     '{"n": 1, "mode": "full", "order": "deglex"}',
     '{"n": 1, "mode": "full", "order": "deglex", "elements": [[[[0, -1]]]]}',
     '{"n": 1, "mode": "boolean", "order": "deglex", "elements": [[[[0, 2]]]]}',
     '{"n": 1, "mode": "full", "order": "lex", "elements": [[[[0, 1]]]]}',
+    # nested deeper than the JSON decoder follows, bare or under a header
+    pytest.param(DEEP, id="nested"),
+    pytest.param('{"n": 1, "mode": "full", "order": "deglex", "elements": %s}' % DEEP,
+                 id="nested-elements"),
 ])
 @pytest.mark.parametrize("command", ["nf", "member"])
 def test_malformed_basis_dump_exit_2(tmp_path, capsys, command, document):
@@ -510,6 +517,17 @@ def test_malformed_basis_dump_exit_2(tmp_path, capsys, command, document):
     assert rc == 2
     assert stdout == ""
     assert stderr.startswith("error: ")
+
+
+def test_member_oracle_past_the_points_cap_is_unavailable(tmp_path, capsys):
+    # n = 9 is 27 variables, past the 24-bit enumeration cap
+    path = tmp_path / "b9.json"
+    path.write_text('{"n": 9, "mode": "boolean", "order": "deglex", '
+                    '"elements": [[[[0, 1]]]]}')
+    rc, stdout, stderr = run(capsys, "member", "x1", str(path), "--oracle")
+    assert rc == 0
+    assert stdout.strip() == "member=true oracle=unavailable"
+    assert "enumeration cap" in stderr
 
 
 @pytest.mark.parametrize("caps", ["pairs=abc", "basis=-5", "pairs=0", "pairs=5,bogus=1"])

@@ -446,6 +446,10 @@ def _dump(elements, n=1, mode=FULL, order="deglex"):
     (_dump([[[[0, 1.5]]]]), "element 0 breaks"),
     ("[1, 2]", "not a basis dump"),
     ("{not json", "not a basis dump"),
+    # nested deeper than the JSON decoder follows, bare or under a header
+    pytest.param("[" * 200_000 + "]" * 200_000, "RecursionError", id="nested"),
+    pytest.param(_dump("deep").replace('"deep"', "[" * 200_000 + "]" * 200_000),
+                 "RecursionError", id="nested-elements"),
 ])
 def test_load_basis_rejects_malformed_documents(text, message):
     with pytest.raises(BasisFormatError, match=message):

@@ -18,6 +18,7 @@ from boolgb import (
     format_poly,
     interreduce,
     is_groebner_basis,
+    leading_monomial,
     make_G,
     make_H,
     mono_divides,
@@ -94,13 +95,33 @@ def test_packed_kernels_agree_with_tuple_kernels(mode, order, scale):
                 assert index.multiples(pk.pack(a)) == multiples
 
 
+@pytest.mark.parametrize("mode,order,scale", SCALED)
+def test_s_polynomial_matches_tuple_reference(mode, order, scale):
+    # the packed kernel never forms the two lcm terms; the reference
+    # (lcm/lm f)*f + (lcm/lm g)*g forms them and cancels them mod 2
+    rng = random.Random(23)
+    nvars = 6
+    shared = 0
+    for _ in range(300):
+        f, g = (Polynomial(random_monomials(rng, nvars, mode, rng.randint(1, 4),
+                                            max_exp=2, scale=scale), nvars, mode)
+                for _ in range(2))
+        lf, lg = leading_monomial(f, order), leading_monomial(g, order)
+        lcm = mono_lcm(lf, lg)
+        qf, qg = (Polynomial({tuple(a - b for a, b in zip(lcm, lm))}, nvars, mode)
+                  for lm in (lf, lg))
+        assert s_polynomial(f, g, order) == qf * f + qg * g
+        shared += any(a and b for a, b in zip(lf, lg))
+    assert shared > 100  # pairs past the product criterion
+
+
 @pytest.mark.parametrize("mode,order", CASES)
 def test_reducer_finds_a_divisor_appended_after_a_miss(mode, order):
     pk = groebner._Packing(3, mode, order, 3)
-    red = groebner._Reducer(pk, [frozenset({pk.pack((0, 1, 0))})])
+    red = groebner._Reducer(pk, [pk.pack_element({(0, 1, 0)})])
     m = pk.pack((1, 0, 1))
     assert red.find_divisor(m) == -1
-    red.extend([frozenset({pk.pack((1, 0, 0)), pk.pack((0, 0, 1))})])
+    red.extend([pk.pack_element({(1, 0, 0), (0, 0, 1)})])
     assert red.find_divisor(m) == 1
 
 
@@ -189,6 +210,10 @@ def test_strict_interreduce_packs_only_its_result(widths):
      "e54957a936aa5786f650edaadb946692b24f599bed88fe01bd373225d50b2a42"),
     (BOOLEAN, DEGREVLEX, (34398, 1660, 2120, 30618, 1408),
      "e47432b1576c4c65ebfe084849beededd37850509d06f6691594226badab56cc"),
+    (FULL, DEGREVLEX, (37128, 1660, 6065, 29403, 1408),
+     "6edb5bb0f89555d1f1c36cf3962a2037c2be2abbadf55bdb470330ce93e7b526"),
+    (BOOLEAN, DEGLEX, (34398, 1660, 2120, 30618, 1408),
+     "20bd2dcb772b6e421672762e6f2cf4a4c45deec95f329a83a5c71baeb8ace6e6"),
 ])
 def test_reduction_stats_pinned_at_n5(mode, order, counts, digest):
     raw, stats = buchberger(make_H(5, mode, order))
@@ -214,10 +239,8 @@ def test_monomial_pair_criterion_is_sound(mode, order):
             continue
         m = random_monomials(rng, 3, mode, 1)[0]
         pk = groebner._Packing(3, mode, order, max(f.degree(), sum(m)))
-        terms = pk.pack_terms(f.terms)
-        lm, pm = max(terms, key=pk.key), pk.pack(m)
-        if not groebner._monomial_pair_is_zero(pk, pm, lm, terms - {lm},
-                                               pk.lcm(pm, lm)):
+        (lm, *tail), pm = pk.pack_element(f.terms), pk.pack(m)
+        if not groebner._monomial_pair_is_zero(pk, pm, lm, tail, pk.lcm(pm, lm)):
             continue
         M = Polynomial({m}, 3, mode)
         assert normal_form(s_polynomial(M, f, order), [M], order).is_zero
