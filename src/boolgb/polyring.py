@@ -12,6 +12,7 @@ arithmetic, so every stored exponent is 0 or 1 and multiplication is
 union of supports.
 """
 
+import re
 from typing import Iterable, NamedTuple
 
 FULL = "full"
@@ -308,8 +309,11 @@ def to_full(f: Polynomial) -> Polynomial:
 #           term   := factor ('*' factor)*
 #           factor := var ('^' posint)? | int
 #           var    := ('x'|'y'|'z') posint
-# Whitespace is insignificant; '-' is the same as '+' in characteristic 2;
-# integer coefficients are reduced mod 2.
+# Whitespace may separate any two tokens, a variable's letter from its
+# index too; '-' is the same as '+' in characteristic 2; integer
+# coefficients are reduced mod 2.  An integer is a run of decimal digits
+# (str.isdecimal, the digits int() reads); a run longer than int()
+# converts is a ParseError.
 
 def format_mono(m) -> str:
     if not any(m):
@@ -331,29 +335,24 @@ def format_poly(f: Polynomial, order: MonomialOrder = DEGLEX) -> str:
     return "+".join(format_mono(m) for m in terms)
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+# One factor: a variable letter with its index and an optional exponent,
+# or an integer.  Each digit group may match empty, so that a missing
+# integer is reported where it was expected; an empty last group means
+# no factor starts there.  In str patterns \s and \d match exactly the
+# characters of str.isspace and str.isdecimal.
+_FACTOR = re.compile(r"\s*(?:([xyz])\s*(\d*)(?:\s*\^\s*(\d*))?|(\d*))")
+# What may follow a factor: '*', '+', '-' or the end of the text ("");
+# the group is None when the next character is none of them.
+_SEPARATOR = re.compile(r"\s*([*+-]|\Z)?")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def read_int(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos]), start
+def _read_int(digits: str, at: int) -> int:
+    if not digits:
+        raise ParseError("expected an integer", at)
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError("integer too long", at) from None
 
 
 def parse_poly(text: str, n: int, mode: str = FULL) -> Polynomial:
@@ -363,58 +362,38 @@ def parse_poly(text: str, n: int, mode: str = FULL) -> Polynomial:
     mode exponents collapse to 1 (v^k = v in the quotient).
     """
     nvars = num_vars(n)
-    tok = _Tokenizer(text)
-
-    def parse_factor():
-        c = tok.peek()
-        if c is None:
-            raise ParseError("unexpected end of input", tok.pos)
-        if c.isdigit():
-            value, _ = tok.read_int()
-            return value % 2, None
-        if c in KINDS:
-            start = tok.pos
-            tok.pos += 1
-            index, _ = tok.read_int()
-            if index < 1 or index > n:
+    sign = _SEPARATOR.match(text)
+    pos = sign.end() if sign[1] in ("+", "-") else 0
+    monos = []
+    op = "+"
+    while op:
+        if op != "*":
+            exps, odd = [0] * nvars, True
+        factor = _FACTOR.match(text, pos)
+        kind, index, exp, digits = factor.groups()
+        if kind:
+            block = _read_int(index, factor.start(2))
+            if not 1 <= block <= n:
                 raise UnknownVariableError(
-                    f"variable {c}{index} is outside the ring (n={n})", start)
-            flat = var_flat(c, index)
-            exp = 1
-            if tok.peek() == "^":
-                tok.pos += 1
-                exp, at = tok.read_int()
-                if exp < 1:
-                    raise ParseError("exponent must be positive", at)
-            if mode == BOOLEAN:
-                exp = 1
-            return 1, (flat, exp)
-        raise ParseError(f"unexpected character {c!r}", tok.pos)
-
-    def parse_term():
-        coeff, factor = parse_factor()
-        exps = [0] * nvars
-        if factor is not None:
-            flat, exp = factor
-            exps[flat] += exp
-        while tok.peek() == "*":
-            tok.pos += 1
-            c, factor = parse_factor()
-            coeff = coeff * c if factor is None else coeff
-            if factor is not None:
-                flat, exp = factor
-                exps[flat] += exp
-        if mode == BOOLEAN:
-            exps = [min(e, 1) for e in exps]
-        return coeff % 2, tuple(exps)
-
-    if tok.peek() in ("+", "-"):
-        tok.pos += 1
-    terms = [parse_term()]
-    while tok.peek() is not None:
-        c = tok.peek()
-        if c not in ("+", "-"):
-            raise ParseError(f"expected '+' or '-', found {c!r}", tok.pos)
-        tok.pos += 1
-        terms.append(parse_term())
-    return Polynomial(_sum_mod2(m for coeff, m in terms if coeff), nvars, mode)
+                    f"variable {kind}{block} is outside the ring (n={n})",
+                    factor.start(1))
+            power = 1 if exp is None else _read_int(exp, factor.start(3))
+            if power < 1:
+                raise ParseError("exponent must be positive", factor.start(3))
+            exps[var_flat(kind, block)] += power
+        elif digits:
+            if _read_int(digits, factor.start(4)) % 2 == 0:
+                odd = False
+        else:
+            pos = factor.end()
+            if pos == len(text):
+                raise ParseError("unexpected end of input", pos)
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        sep = _SEPARATOR.match(text, factor.end())
+        pos, op = sep.end(), sep[1]
+        if op is None:
+            raise ParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
+        if op != "*" and odd:
+            monos.append(tuple(min(e, 1) for e in exps) if mode == BOOLEAN
+                         else tuple(exps))
+    return Polynomial(_sum_mod2(monos), nvars, mode)

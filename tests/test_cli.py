@@ -301,6 +301,13 @@ def test_member_parse_error(h2_basis_file, capsys):
     assert rc == 2
 
 
+def test_nf_malformed_text_exit_2_with_position(h2_basis_file, capsys):
+    # a superscript digit passes str.isdigit, but int() rejects it
+    rc, _, stderr = run(capsys, "nf", "x1^\u00b2", h2_basis_file)
+    assert rc == 2
+    assert "at position 3" in stderr
+
+
 def test_member_oracle_disagreement_exit_4(tmp_path, capsys):
     # a dump that falsely claims basis-hood: the ideal contains y1 but the
     # normal form of y1 against these elements is y1 itself

@@ -1,6 +1,7 @@
 """Ring arithmetic, monomial orders, and the text form."""
 
 import random
+import sys
 
 import pytest
 
@@ -274,22 +275,53 @@ def test_parse_whitespace_and_powers():
     assert parse_poly("  x1 ^ 2\t+ x1 ", 1) == parse_poly("x1^2+x1", 1)
     assert parse_poly("x1*x1", 1) == parse_poly("x1^2", 1)
     assert parse_poly("x1^2", 1, BOOLEAN) == poly_var(0, 3, BOOLEAN)
+    assert parse_poly("x 1 ^ 2 * y 1", 1) == parse_poly("x1^2*y1", 1)
+    assert parse_poly("- x1 - 3*y1 + 2", 1) == parse_poly("x1+y1", 1)
+    # int() reads the decimal digits of every script, so the parser does too
+    assert parse_poly("x\u0663", 3) == parse_poly("x3", 3)
 
 
-def test_parse_errors_carry_position():
+# input, n, exception class, position, message
+PARSE_ERRORS = [
+    ("x1 + ", 1, ParseError, 5, "unexpected end of input"),
+    ("x1 ++ y1", 1, ParseError, 4, "unexpected character '+'"),
+    ("w1", 1, ParseError, 0, "unexpected character 'w'"),
+    ("*x1", 1, ParseError, 0, "unexpected character '*'"),
+    ("+", 1, ParseError, 1, "unexpected end of input"),
+    ("x1*", 1, ParseError, 3, "unexpected end of input"),
+    ("x", 1, ParseError, 1, "expected an integer"),
+    ("x1^", 1, ParseError, 3, "expected an integer"),
+    ("x1^-2", 1, ParseError, 3, "expected an integer"),
+    ("x1^0", 1, ParseError, 3, "exponent must be positive"),
+    ("x1 y1", 1, ParseError, 3, "expected '+' or '-', found 'y'"),
+    ("3 x1", 1, ParseError, 2, "expected '+' or '-', found 'x'"),
+    ("x1^2^3", 1, ParseError, 4, "expected '+' or '-', found '^'"),
+    ("x5", 4, UnknownVariableError, 0, "variable x5 is outside the ring (n=4)"),
+    ("x0", 1, UnknownVariableError, 0, "variable x0 is outside the ring (n=1)"),
+    ("z3", 2, UnknownVariableError, 0, "variable z3 is outside the ring (n=2)"),
+    # a superscript digit passes str.isdigit but is no decimal digit
+    ("x1^\u00b2", 1, ParseError, 3, "expected an integer"),
+    ("\u00b2", 1, ParseError, 0, "unexpected character '\u00b2'"),
+]
+
+
+@pytest.mark.parametrize("text, n, cls, position, message", PARSE_ERRORS)
+def test_parse_errors_carry_position(text, n, cls, position, message):
     with pytest.raises(ParseError) as err:
-        parse_poly("x1 + ", 1)
-    assert err.value.position == 5
-    with pytest.raises(ParseError):
-        parse_poly("x1 ++ y1", 1)
-    with pytest.raises(ParseError):
-        parse_poly("w1", 1)
-    with pytest.raises(ParseError):
-        parse_poly("x1^0", 1)
-    with pytest.raises(UnknownVariableError):
-        parse_poly("x5", 4)
-    with pytest.raises(UnknownVariableError):
-        parse_poly("z3", 2)
+        parse_poly(text, n)
+    assert type(err.value) is cls
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter converts digit runs of any length")
+@pytest.mark.parametrize("prefix", ["x1^", "", "x"])
+def test_parse_digit_run_past_int_limit(prefix):
+    digits = "9" * (sys.get_int_max_str_digits() + 700)
+    with pytest.raises(ParseError) as err:
+        parse_poly(prefix + digits, 1)
+    assert err.value.position == len(prefix)
 
 
 def test_format_canonical():
