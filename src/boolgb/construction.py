@@ -16,7 +16,6 @@ reduced total-degree Groebner basis of that ideal, so the input of size
 """
 
 import itertools
-import math
 
 from .groebner import (
     MAX_FILE_N,
@@ -24,13 +23,14 @@ from .groebner import (
     GroebnerBasis,
     ResourceLimitError,
 )
-from .oracle import DEFAULT_MAX_BITS, TooManyVariablesError, _mono_table, exponent_table
+from .oracle import DEFAULT_MAX_BITS, _enumerate
 from .polyring import (
     BOOLEAN,
     DEGLEX,
     FULL,
     MODES,
     MonomialOrder,
+    ParseError,
     Polynomial,
     format_poly,
     mono_var,
@@ -209,12 +209,14 @@ def count_standard_monomials(G: GroebnerBasis,
 
     Requires a pure-power leading monomial c^k for every variable (the
     ideal is zero-dimensional with per-variable bound k); in boolean mode
-    v*v = v bounds every variable by 2 without one.  Candidates are the
-    box of exponents below the bounds, bit-sliced: the box size minus
-    the popcount of the OR over leading monomials of the AND of their
-    factors' exponent tables.  Raises TooManyVariablesError when the box
-    has more than 2^max_bits monomials.  For the H and G families every
-    bound is 2, giving 2^(3n) squarefree candidates.
+    v*v = v bounds every variable by 2 without one.  The candidates are
+    the box of exponents below the bounds, searched by the oracle's
+    enumerator with each leading monomial as a polynomial: it is 1 exactly
+    at the candidates it divides, so those are dropped as soon as its last
+    variable is in, and the candidates left are the standard monomials.
+    For the H and G families every bound is 2.  Raises
+    TooManyVariablesError when the search would hold more than 2^max_bits
+    live candidates.
     """
     nvars = G.nvars
     lms = G.leading_monomials()
@@ -232,18 +234,11 @@ def count_standard_monomials(G: GroebnerBasis,
         raise NotZeroDimensionalError(
             f"no pure-power leading monomial for variable(s) {missing}; "
             f"cannot bound the quotient")
-    box = math.prod(bounds)
-    if (box - 1).bit_length() > max_bits:
-        raise TooManyVariablesError(
-            f"the box of {box} candidate monomials exceeds the "
-            f"{max_bits}-bit cap")
-    everything = (1 << box) - 1
-    factors = {(v, e) for lm in lms for v, e in enumerate(lm) if e}
-    tables = {key: exponent_table(bounds, *key) for key in factors}
-    divisible = 0
-    for lm in lms:
-        divisible |= _mono_table(lm, lambda v, e: tables[v, e], everything)
-    return box - divisible.bit_count()
+    # a leading monomial with an exponent at its bound divides nothing in the box
+    factors = (tuple(zip(itertools.compress(range(nvars), lm), itertools.compress(lm, lm)))
+               for lm in lms)
+    polys = [[term] for term in factors if all(e < bounds[v] for v, e in term)]
+    return _enumerate(polys, bounds, max_bits)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +260,9 @@ def parse_generator_file(text: str, order: MonomialOrder = DEGLEX) -> GeneratorS
 
     Raises ValueError unless n (in 1..MAX_FILE_N) and a known mode are set
     by '#' header lines before the first polynomial, and no later header
-    gives n or mode a different value.
+    gives n or mode a different value.  A ParseError from a polynomial
+    names its 1-based line; its position counts from the first non-blank
+    character of that line.
     """
     header = {}
     polys = []
@@ -296,7 +293,11 @@ def parse_generator_file(text: str, order: MonomialOrder = DEGLEX) -> GeneratorS
         if len(header) < 2:
             raise ValueError(
                 f"line {lineno}: polynomial before '# n=<n> mode=<mode>' header")
-        polys.append(parse_poly(body, header["n"], header["mode"]))
+        try:
+            polys.append(parse_poly(body, header["n"], header["mode"]))
+        except ParseError as exc:  # keeps its class and position
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
     if not polys:
         raise ValueError("generator file contains no polynomials")
     return GeneratorSet(polys, order)

@@ -139,6 +139,19 @@ def test_oracle_stretch_n7():
         assert count_standard_monomials(basis) == 4 ** 7 - 3 ** 7
 
 
+@pytest.mark.skipif(os.environ.get("BOOLGB_STRETCH") != "1",
+                    reason="stretch target; set BOOLGB_STRETCH=1 to run")
+def test_oracle_stretch_n9():
+    """Sol(H(9)) == Sol(G(9)) with 4^9-3^9 = 242,461 points, past 2^24 of
+    the 2^27 points, and G(9) has as many standard monomials."""
+    with report("stretch n=9 oracle: Sol(H)=Sol(G), counts 242461"):
+        sols = enumerate_solutions(make_H(9))
+        assert len(sols) == 242_461
+        assert sols == enumerate_solutions(make_G(9))
+        basis = GroebnerBasis(make_G(9).polynomials, DEGLEX, reduced=True)
+        assert count_standard_monomials(basis) == 242_461
+
+
 def test_reducedness_boundary():
     """G(n) reduced for n=2..5 but not n=1; Groebner for n=2..4 exhaustively."""
     with report("reducedness boundary: reduced iff n>1; exhaustive closure n=2..4"):

@@ -131,6 +131,14 @@ def test_gb_parse_error_exit_2(tmp_path, capsys):
     assert "error" in stderr
 
 
+def test_gb_parse_error_names_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.gens"
+    bad.write_text("# n=2 mode=full\nx1 + y1\nz1\n   x1 + y1^  # c\n")
+    rc, _, stderr = run(capsys, "gb", str(bad))
+    assert rc == 2
+    assert stderr == "error: line 4: expected an integer (at position 8)\n"
+
+
 def test_gb_missing_file_exit_2(capsys):
     rc, _, _ = run(capsys, "gb", "/nonexistent/file.gens")
     assert rc == 2
@@ -390,7 +398,7 @@ def test_verify_reports_v4_when_v3_hits_the_pair_cap(capsys, monkeypatch):
 
 
 def test_verify_skips_checks_over_point_cap(capsys, monkeypatch):
-    monkeypatch.setenv("BOOLGB_CAPS", "points=5")
+    monkeypatch.setenv("BOOLGB_CAPS", "points=4")  # Sol(H(2)) needs 2^5 candidates
     rc, stdout, _ = run(capsys, "verify", "--n", "2")
     assert rc == 0
     assert "V1 SKIPPED" in stdout
@@ -399,10 +407,12 @@ def test_verify_skips_checks_over_point_cap(capsys, monkeypatch):
 
 
 def test_verify_point_cap_bounds_standard_monomial_count(capsys, monkeypatch):
-    # the count is capped before the enumeration would be
-    monkeypatch.setenv("BOOLGB_CAPS", "points=5")
+    # the count is capped before the enumeration would be: it peaks at 12
+    # candidates and passes 2^3 on the split of y2
+    monkeypatch.setenv("BOOLGB_CAPS", "points=3")
     _, stdout, _ = run(capsys, "verify", "--n", "2")
-    assert "V4 SKIPPED: the box of 64 candidate monomials exceeds the 5-bit cap" in stdout
+    assert ("V4 SKIPPED: the search needs 10 live candidates, past the 2^3 "
+            "enumeration cap") in stdout
 
 
 def test_verify_reports_every_check_past_the_G_cap(capsys):

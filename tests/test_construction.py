@@ -11,8 +11,10 @@ from boolgb import (
     FULL,
     GroebnerBasis,
     NotZeroDimensionalError,
+    ParseError,
     ResourceLimitError,
     TooManyVariablesError,
+    UnknownVariableError,
     buchberger,
     count_standard_monomials,
     evaluate,
@@ -217,13 +219,15 @@ def test_standard_monomials_block_product_description_n2():
 
 
 def test_count_standard_monomials_box_cap():
+    # the cap bounds the live candidates: those of G(2) peak at 12 of the
+    # 2^6 monomials in its box
     basis = GroebnerBasis(list(make_G(2).polynomials), DEGLEX, reduced=True)
-    assert count_standard_monomials(basis, max_bits=6) == 7  # box of 2^6
-    with pytest.raises(TooManyVariablesError):
-        count_standard_monomials(basis, max_bits=5)
+    assert count_standard_monomials(basis, max_bits=4) == 7
+    with pytest.raises(TooManyVariablesError, match="enumeration cap"):
+        count_standard_monomials(basis, max_bits=3)
     huge = GroebnerBasis([P(t, 1) for t in ("x1^4096", "y1^4096", "z1^2")],
                          DEGLEX, reduced=True)  # a box of 2^25 monomials
-    with pytest.raises(TooManyVariablesError):
+    with pytest.raises(TooManyVariablesError, match="enumeration cap"):
         count_standard_monomials(huge)
 
 
@@ -269,6 +273,18 @@ def test_generator_file_comments_and_blank_lines():
     text = "# n=1 mode=full\n\n# a comment\nx1 + y1  # trailing note\n"
     F = parse_generator_file(text)
     assert F.polynomials == (P("x1+y1", 1),)
+
+
+@pytest.mark.parametrize("body, error, message", [
+    ("   x1 + y1^  # c", ParseError, "line 4: expected an integer (at position 8)"),
+    ("x1 + z3", UnknownVariableError, "line 4: variable z3 is outside the ring"),
+])
+def test_generator_file_parse_error_names_its_line(body, error, message):
+    with pytest.raises(error) as info:
+        parse_generator_file(f"# n=2 mode=full\nx1 + y1\nz1\n{body}\n")
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+    assert f"(at position {info.value.position})" in str(info.value)
 
 
 def test_generator_file_requires_header():

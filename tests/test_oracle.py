@@ -63,6 +63,18 @@ def test_evaluate_accepts_int_masks():
     assert evaluate(f, 0b001) == 0
 
 
+def test_evaluate_rejects_points_outside_the_ring():
+    f = P("x1 + 1", 1)
+    for mask in (8, -1, 1 << 64):  # outside 0..2^3-1
+        with pytest.raises(ArityMismatchError):
+            evaluate(f, mask)
+        assert mask not in enumerate_solutions(GeneratorSet([f], DEGLEX))
+    for point in ((2, 0, 0), (0, -1, 0), (0, 0, 0.5)):
+        with pytest.raises(ValueError):
+            evaluate(f, point)
+    assert evaluate(f, 7) == 0 and evaluate(f, (True, False, False)) == 0
+
+
 def test_evaluate_respects_ring_ops():
     rng = random.Random(61)
     for _ in range(300):
@@ -103,10 +115,14 @@ def test_solution_structure():
 
 
 def test_enumeration_cap():
-    with pytest.raises(TooManyVariablesError):
-        enumerate_solutions(make_H(9))  # 27 variables > 24-bit cap
-    with pytest.raises(TooManyVariablesError):
-        enumerate_solutions(make_H(2), max_bits=5)
+    # the cap bounds the live candidates, not the 2^(3n) points: those of
+    # H(9) peak at 2^19 and those of H(2) at 2^5
+    assert len(enumerate_solutions(make_H(9))) == 4 ** 9 - 3 ** 9
+    with pytest.raises(TooManyVariablesError, match="enumeration cap"):
+        enumerate_solutions(make_H(9), max_bits=18)
+    assert len(enumerate_solutions(make_H(2), max_bits=5)) == 7
+    with pytest.raises(TooManyVariablesError, match="enumeration cap"):
+        enumerate_solutions(make_H(2), max_bits=4)
 
 
 def test_solution_sets_equal_h_g():
