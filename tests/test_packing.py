@@ -226,6 +226,26 @@ def test_reduction_stats_pinned_at_n5(mode, order, counts, digest):
     assert interreduce(raw).as_set() == frozenset(make_G(5, mode, order).polynomials)
 
 
+@pytest.mark.parametrize("mode,order,counts,digest", [
+    (FULL, DEGLEX, (292230, 5880, 20994, 265356, 5140),
+     "7cc9fd36f88bd2efe99276a97d401a68735ba4bbdc8fcbd3afd59e5b9c6bc574"),
+    (BOOLEAN, DEGREVLEX, (283041, 5880, 7431, 269730, 5140),
+     "8f5d8146ee61d6d36a5a4e6d54c25eb054b927324c9532ed602a25f2519407f4"),
+    (FULL, DEGREVLEX, (292230, 5880, 20994, 265356, 5140),
+     "17f353e94a9cd88a96c9212af89d2a15da5584a03612a51d2e31a318189933dc"),
+    (BOOLEAN, DEGLEX, (283041, 5880, 7431, 269730, 5140),
+     "56f57005fa25d1e4b483015a10761197c48f3691489ef59ca1f1274f669e29a6"),
+])
+def test_reduction_stats_pinned_at_n6(mode, order, counts, digest):
+    # the benchmark's size: every engine decision on H(6), counters and
+    # the raw basis byte for byte
+    raw, stats = buchberger(make_H(6, mode, order))
+    assert (stats.pairs_generated, stats.pairs_queued,
+            stats.pairs_skipped_by_criteria, stats.pairs_monomial,
+            stats.reductions_to_zero) == counts
+    assert hashlib.sha256(dump_basis(raw).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("mode,order", CASES)
 def test_monomial_pair_criterion_is_sound(mode, order):
     # whenever the rule says zero, the S-polynomial reduces to zero by the
