@@ -9,7 +9,9 @@ can fail to be a basis of the quotient ideal.  One kernel, `_task_terms`,
 builds every task, S-pair or field task, for the engine, the predicates
 and `s_polynomial` alike.  It never forms the lcm terms of an S-pair,
 which cancel mod 2: the S-polynomial of f and g is
-(lcm/lm f)*tail(f) + (lcm/lm g)*tail(g).
+(lcm/lm f)*tail(f) + (lcm/lm g)*tail(g).  Its products go to
+`_reduce_terms` as they are, repeats included, since reduction cancels
+equal monomials in pairs; only `s_polynomial` sums them mod 2 itself.
 
 Pair selection is the normal strategy (smallest lcm degree, ties broken
 by the monomial order on the lcm, then by pair index).  The update step
@@ -20,13 +22,14 @@ no field tasks (v*m = m); a pair of two monomials has a zero
 S-polynomial, so it counts as processed unformed and still witnesses
 the chain criterion.  A pair of a monomial m and an element f with
 g = gcd(m, lm f) has the S-polynomial (m/g)*tail(f); the monomial
-criterion drops it when g divides every tail monomial of f, since then
-m divides every monomial of it.  It is the product criterion's
-generalization (g = 1) and acts exactly like it: a group of pairs with
-one lcm is dropped when one member meets either criterion, and its lcm
-still prunes the larger lcms of the same update.  That scan compares an
-lcm only with the minimal lcms of lower degree, as two distinct
-monomials of one degree never divide each other.
+criterion drops it when g divides the gcd of f's tail (computed once,
+when f enters), since then m divides every monomial of it.  It is the
+product criterion's generalization (g = 1) and acts exactly like it: a
+group of pairs with one lcm is dropped when one member meets either
+criterion, and its lcm still prunes the larger lcms of the same update.
+That scan is one kernel call per lcm, over the minimal lcms of lower
+degree only, as two distinct monomials of one degree never divide each
+other.
 
 Divisibility searches read a support index (after Roune & Stillman,
 ISSAC 2012): monomials in numbered slots, one int with a bit per live
@@ -34,26 +37,31 @@ slot, and one int column per support bit with a bit per slot whose
 monomial has that variable.  The divisors of m are among the live slots
 in no column of a variable m lacks, its multiples among those in every
 column of its support; `divides` confirms each, as a full-mode support
-ignores exponents.  The reducer indexes its leading monomials: reduction
-always divides the largest reducible monomial by its first divisor in
-basis order (ascending leading monomial, ties in the order given).  The
-engine indexes the lcms of its live pairs for the chain criterion.
+ignores exponents.  The reducer indexes its leading monomials, and keeps
+the support bits of each, computed once: reduction always divides the
+largest reducible monomial by its first divisor in basis order
+(ascending leading monomial, ties in the order given).  The engine
+indexes the lcms of its live pairs for the chain criterion; the support
+of an lcm is the union of the supports of its two leading monomials.
 
 Inside the engine a monomial is one packed Python int (Monagan & Pearce,
 CASC 2007), and an element is its packed terms in descending order:
 lm first, then the tail, kept by the reducer as lms[i] and tails[i], the
 engine's one working set.  Exponent tuples are packed where polynomials
 enter and unpacked where they leave.  A `GroebnerBasis` is packed once,
-when it is built, into the one reducer that every read of it uses.  A
+when it is built, into the one reducer that every read of it uses;
+`buchberger` and `interreduce` build theirs from the packed elements
+they hold, unpacking each once and packing nothing again.  A
 `_Packing` fixes the layout for one (nvars, mode, order, width):
 
 - Boolean mode: a monomial is its support bitmask.  Multiply and lcm
-  are `|`, a divides b is `a & b == a`.
+  are `|`, the gcd is `&`, a divides b is `a & b == a`.
 - Full mode: one field of `width` bits per variable plus a total-degree
   field on top.  The top bit of every field is a guard bit that is zero
   in every stored monomial, so a divides b is `((b|G) - a) & G == G`
   and multiply is `+`.  The lcm selects each field from a or b with a
-  mask built from the same subtraction, and recomputes the degree.
+  mask built from the same subtraction, the gcd selects the other one,
+  and both recompute the degree.
 - Fields are 1, 2, 4, ... bytes wide, the fewest that hold twice the
   largest input degree; up to 8 bytes, one `struct` call packs or
   unpacks a whole monomial.  An lcm or product whose degree does not fit
@@ -69,6 +77,7 @@ when it is built, into the one reducer that every read of it uses.  A
 """
 
 import collections
+import functools
 import heapq
 import json
 import operator
@@ -78,6 +87,7 @@ import time
 from .polyring import (
     BOOLEAN,
     DEGLEX,
+    FULL,
     MODES,
     MonomialOrder,
     Polynomial,
@@ -161,11 +171,14 @@ class _Packing:
     """Packed-int monomials for one ring, order and field width.
 
     Attributes that are callables are the kernels: pack, unpack, key,
-    unkey, degree, divides, lcm, mul, quo and support.
+    unkey, degree, divides, any_divides, lcm, gcd, mul, quo and support.
+    any_divides(ms, b) is True when some monomial of the list ms divides
+    b, tested in one C-level loop.
     """
 
-    __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key",
-                 "unkey", "degree", "divides", "lcm", "mul", "quo", "support")
+    __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key", "unkey",
+                 "degree", "divides", "any_divides", "lcm", "gcd", "mul", "quo",
+                 "support")
 
     def __init__(self, nvars, mode, order, degree):
         boolean = mode == BOOLEAN
@@ -209,7 +222,9 @@ class _Packing:
             self.unkey = lambda k: (k & vars_mask) ^ flip
             self.degree = int.bit_count
             self.divides = lambda a, b: a & b == a
+            self.any_divides = lambda ms, b: 0 in map((~b).__and__, ms)
             self.lcm = self.mul = int.__or__
+            self.gcd = int.__and__
             self.quo = int.__xor__
             self.support = int
             return
@@ -253,6 +268,12 @@ class _Packing:
                 raise _Overflow(d)
             return v | (d << dshift)
 
+        def gcd(a, b):
+            ge = ((a | guard) - b) & guard
+            sel = ge - (ge >> low)
+            v = ((b & sel) | (a & ~sel)) & vars_mask  # the smaller fields
+            return v | (((v * ones >> top) & field) << dshift)
+
         def mul(a, b):
             p = a + b
             if p & guard:
@@ -264,7 +285,10 @@ class _Packing:
         self.key = self.unkey = flip.__xor__
         self.degree = lambda m: m >> dshift
         self.divides = lambda a, b: ((b | guard) - a) & guard == guard
+        self.any_divides = lambda ms, b: guard in map(
+            guard.__and__, map((b | guard).__sub__, ms))
         self.lcm = lcm
+        self.gcd = gcd
         self.mul = mul
         self.quo = int.__sub__
         # one guard bit per nonzero variable field: a spread support mask
@@ -279,30 +303,29 @@ class _Packing:
 
 
 def _task_terms(pk, lms, tails, kind, i, j):
-    """Packed term set of one task on elements lms[k] + tails[k].  Kind 0:
-    the S-polynomial of elements i and j, qi*tail_i + qj*tail_j, as the
-    two lcm terms cancel.  Kind 1: the Boolean field task v_j*f_i =
+    """Packed terms of one task on elements lms[k] + tails[k], as a list
+    whose repeated monomials still have to cancel mod 2.  Kind 0: the
+    S-polynomial of elements i and j, qi*tail_i + qj*tail_j, as the two
+    lcm terms cancel.  Kind 1: the Boolean field task v_j*f_i =
     lm_i + v_j*tail_i, as v_j*lm_i = lm_i; a boolean variable is one bit."""
     mul, ti = pk.mul, tails[i]
     if kind:
         q = 1 << pk.shifts[j]
-        return _sum_mod2([lms[i]] + [mul(q, t) for t in ti])
+        return [lms[i]] + [mul(q, t) for t in ti]
     lcm = pk.lcm(lms[i], lms[j])
     qi, qj = pk.quo(lcm, lms[i]), pk.quo(lcm, lms[j])
-    return _sum_mod2([mul(qi, t) for t in ti] + [mul(qj, t) for t in tails[j]])
+    return [mul(qi, t) for t in ti] + [mul(qj, t) for t in tails[j]]
 
 
-def _monomial_pair_is_zero(pk, m, lm, tail, lcm):
+def _monomial_pair_is_zero(pk, m, lm, tail_gcd, lcm):
     """True when the S-pair of the monomial m and an element with leading
-    monomial lm and tail `tail` (lcm = lcm(m, lm)) reduces to zero by m.
+    monomial lm (lcm = lcm(m, lm)) reduces to zero by m.
 
     Its S-polynomial is (m/g)*tail with g = gcd(m, lm) (m & ~lm in the
-    Boolean ring); when g divides every tail monomial, each of its
-    monomials is a multiple of m.  g = 1 is the product criterion.
+    Boolean ring); when g divides tail_gcd, the gcd of the tail, each of
+    its monomials is a multiple of m.  g = 1 is the product criterion.
     """
-    g = pk.quo(lm, pk.quo(lcm, m))
-    divides = pk.divides
-    return all(divides(g, t) for t in tail)
+    return pk.divides(pk.quo(lm, pk.quo(lcm, m)), tail_gcd)
 
 
 def _bits(m):
@@ -333,17 +356,17 @@ class _SupportIndex:
         self.bits = 0    # every support bit of a monomial ever added
         self.columns = collections.defaultdict(int)  # support bit -> slots
 
-    def add(self, monomials):
-        """Put the monomials in the next slots, in order; returns the first."""
+    def add(self, monomials, supports):
+        """Put the monomials in the next slots, in order, given the support
+        bits of each (repeats allowed); returns the first slot."""
         first = len(self.items)
         self.items += monomials
         self.live |= ((1 << len(monomials)) - 1) << first
         # columns of this batch alone, numbered from 0, so that each long
         # column is copied once per batch instead of once per monomial
         local = collections.defaultdict(int)
-        support = self.pk.support
-        for k, m in enumerate(monomials):
-            for b in _bits(support(m)):
+        for k, bits in enumerate(supports):
+            for b in bits:
                 local[b] |= 1 << k
         columns = self.columns
         for b, column in local.items():
@@ -418,9 +441,10 @@ class GeneratorSet:
 class GroebnerBasis:
     """A list of basis elements sorted ascending by leading monomial.
 
-    Ties keep the order given.  The elements are packed once, here, into
-    the reducer that every read of the basis uses.  The `reduced` flag is
-    a cache, never a proof; verification predicates recompute it.
+    Ties keep the order given.  The elements are packed once, when the
+    basis is built, into the reducer that every read of the basis uses;
+    the engine hands its elements over packed.  The `reduced` flag is a
+    cache, never a proof; verification predicates recompute it.
     """
 
     __slots__ = ("elements", "order", "mode", "nvars", "n", "reduced", "_reducer")
@@ -432,17 +456,32 @@ class GroebnerBasis:
         if any(f.is_zero for f in elements):
             raise ZeroPolynomialError("basis elements must be nonzero")
         _check_compatible(*elements)
-        mode, nvars = elements[0].mode, elements[0].nvars
-        pk = _Packing(nvars, mode, order, max(f.degree() for f in elements))
-        packed = sorted(((pk.pack_element(f.terms), f) for f in elements),
-                        key=lambda item: pk.key(item[0][0]))
-        self.elements = tuple(f for _, f in packed)
-        self._reducer = _Reducer(pk, [element for element, _ in packed])
+        pk = _Packing(elements[0].nvars, elements[0].mode, order,
+                      max(f.degree() for f in elements))
+        self._build(pk, [pk.pack_element(f.terms) for f in elements], order,
+                    reduced, elements)
+
+    def _build(self, pk, packed, order, reduced, polys=None):
+        """Fill the basis from packed elements, lm first and the tail
+        descending, and return it.  They are sorted stably by leading
+        monomial and read through one reducer; `elements` takes polys[k]
+        for packed[k], or unpacks each element once if polys is None."""
+        rank = sorted(range(len(packed)),
+                      key=[pk.key(element[0]) for element in packed].__getitem__)
+        packed = [packed[k] for k in rank]
+        nvars, mode = len(pk.shifts), BOOLEAN if pk.boolean else FULL
+        if polys is None:
+            self.elements = tuple(Polynomial(pk.unpack_terms(element), nvars, mode)
+                                  for element in packed)
+        else:
+            self.elements = tuple(polys[k] for k in rank)
+        self._reducer = _Reducer(pk, packed)
         self.order = order
         self.mode = mode
         self.nvars = nvars
         self.n = nvars // 3
         self.reduced = reduced
+        return self
 
     def leading_monomials(self):
         return [self._reducer.pk.unpack(lm) for lm in self._reducer.lms]
@@ -465,21 +504,26 @@ class GroebnerBasis:
 # reduction
 
 class _Reducer:
-    """Packed elements lms[i] + tails[i]; lms[i] sits in slot i of the index."""
+    """Packed elements lms[i] + tails[i]; lms[i] sits in slot i of the
+    index, and supports[i] lists the support bits of lms[i]."""
 
-    __slots__ = ("pk", "index", "lms", "tails", "hits")
+    __slots__ = ("pk", "index", "lms", "tails", "supports", "hits")
 
     def __init__(self, pk, elements=()):
         self.pk = pk
         self.index = _SupportIndex(pk)
         self.lms = self.index.items
         self.tails = []
+        self.supports = []
         self.hits = {}  # monomial -> index of first divisor (stable: appends only)
         self.extend(elements)
 
     def extend(self, elements):
         """Append elements given lm first, the tail descending."""
-        self.index.add([element[0] for element in elements])
+        lms = [element[0] for element in elements]
+        supports = [_bits(self.pk.support(lm)) for lm in lms]
+        self.index.add(lms, supports)
+        self.supports += supports
         self.tails += [tuple(element[1:]) for element in elements]
 
     def find_divisor(self, m):
@@ -566,7 +610,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGLEX) ->
     _check_compatible(f, g)
     pk = _Packing(f.nvars, f.mode, order, max(f.degree(), g.degree()))
     (lf, *tf), (lg, *tg) = pk.pack_element(f.terms), pk.pack_element(g.terms)
-    s = _task_terms(pk, [lf, lg], [tf, tg], 0, 0, 1)
+    s = _sum_mod2(_task_terms(pk, [lf, lg], [tf, tg], 0, 0, 1))
     return Polynomial(pk.unpack_terms(s), f.nvars, f.mode)
 
 
@@ -593,11 +637,13 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
 
 
 def _buchberger(F, pk, max_pairs, max_basis, t0):
-    key, degree, lcm, divides, quo = pk.key, pk.degree, pk.lcm, pk.divides, pk.quo
+    key, degree, lcm, quo = pk.key, pk.degree, pk.lcm, pk.quo
+    any_divides = pk.any_divides
     stats = ReductionStats()
 
     red = _Reducer(pk)  # the working elements, lm first
-    lms, tails = red.lms, red.tails
+    lms, tails, supports = red.lms, red.tails, red.supports
+    gcds = []         # the gcd of each working element's tail, None for a monomial
     nonmono = []      # indices of the working elements that are not monomials
     # the live ordinary pairs by lcm, for the chain criterion; slot s is
     # pair owners[s] = (i, j) until it is popped or pruned
@@ -614,6 +660,8 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         red.extend([element])
         lmf, tailf = lms[t], tails[t]
         monomial = not tailf
+        gcdf = None if monomial else functools.reduce(pk.gcd, tailf)
+        gcds.append(gcdf)
 
         stats.pairs_generated += t
         pruned = 0
@@ -646,31 +694,29 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
                 minimal += level
                 level = []
             members = groups[lcm_f]  # ascending indices
-            for m in minimal:
-                if divides(m, lcm_f):
-                    pruned += len(members)
-                    break
+            if any_divides(minimal, lcm_f):
+                pruned += len(members)
+                continue
+            level.append(lcm_f)
+            # a pair known to reduce to zero drops its group: the monomial
+            # criterion, or for two non-monomials the product criterion
+            # (coprime leading monomials: the lcm is their product)
+            if monomial:
+                zero = any(_monomial_pair_is_zero(pk, lmf, lms[i], gcds[i], lcm_f)
+                           for i in members)
             else:
-                level.append(lcm_f)
-                # a pair known to reduce to zero drops its group: the
-                # monomial criterion, or for two non-monomials the
-                # product criterion (coprime leading monomials: the lcm
-                # is their product)
-                if monomial:
-                    zero = any(_monomial_pair_is_zero(pk, lmf, lms[i], tails[i], lcm_f)
-                               for i in members)
-                else:
-                    zero = any(_monomial_pair_is_zero(pk, lms[i], lmf, tailf, lcm_f)
-                               if not tails[i] else quo(lcm_f, lmf) == lms[i]
-                               for i in members)
-                if zero:
-                    pruned += len(members)
-                else:
-                    queued.append(lcm_f)
-                    firsts.append(members[0])
-                    pruned += len(members) - 1
+                zero = any(_monomial_pair_is_zero(pk, lms[i], lmf, gcdf, lcm_f)
+                           if not tails[i] else quo(lcm_f, lmf) == lms[i]
+                           for i in members)
+            if zero:
+                pruned += len(members)
+            else:
+                queued.append(lcm_f)
+                firsts.append(members[0])
+                pruned += len(members) - 1
         stats.pairs_skipped_by_criteria += pruned
-        first = pairs.add(queued)
+        # the support of an lcm is the union of its two leading monomials'
+        first = pairs.add(queued, [supports[t] + supports[i] for i in firsts])
         for s, (lcm_f, i) in enumerate(zip(queued, firsts), first):
             owners.append((i, t))
             heapq.heappush(heap, (key(lcm_f), 0, i, t, s))
@@ -708,9 +754,8 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             stats.reductions_to_zero += 1
 
     stats.wall_time = time.perf_counter() - t0
-    basis = GroebnerBasis(
-        [Polynomial(pk.unpack_terms((lm, *tail)), F.nvars, F.mode)
-         for lm, tail in zip(lms, tails)], F.order, reduced=False)
+    basis = GroebnerBasis.__new__(GroebnerBasis)._build(
+        pk, [(lm, *tail) for lm, tail in zip(lms, tails)], F.order, reduced=False)
     return basis, stats
 
 
@@ -729,16 +774,15 @@ def interreduce(G: GroebnerBasis, strict: bool = False) -> GroebnerBasis:
     (NotAGroebnerBasisError otherwise).
     """
     red = G._reducer
-    pk = red.pk
     reduced, removed = [], []
     # in basis order an lm is redundant exactly when its first divisor is not itself
     for i, (f, lm, tail) in enumerate(zip(G.elements, red.lms, red.tails)):
         if red.find_divisor(lm) != i:
             removed.append(f)
         else:
-            reduced.append(Polynomial(
-                pk.unpack_terms((lm, *_reduce_terms(tail, red))), G.nvars, G.mode))
-    result = GroebnerBasis(reduced, G.order, reduced=True)
+            reduced.append([lm, *_reduce_terms(tail, red)])
+    result = GroebnerBasis.__new__(GroebnerBasis)._build(
+        red.pk, reduced, G.order, reduced=True)
     if strict:
         for f in removed:
             if not normal_form(f, result).is_zero:

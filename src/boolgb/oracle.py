@@ -22,7 +22,7 @@ exponent vectors, the same enumerator counts standard monomials
 
 from itertools import chain, compress, repeat
 
-from .groebner import GeneratorSet
+from .groebner import MAX_FILE_N, GeneratorSet
 from .polyring import BOOLEAN, FULL, Polynomial, mono_support, mono_var
 
 DEFAULT_MAX_BITS = 24  # enumeration cap: at most 2^24 live candidates
@@ -332,18 +332,17 @@ def _columns(masks, nvars: int):
 
 def load_solutions(text: str) -> SolutionSet:
     """Read a dump_solutions text; raises SolutionFormatError unless it is
-    one '# n=<n> count=<k>' header (1 <= 3n <= DEFAULT_MAX_BITS) and then
-    k distinct hex masks below 2^(3n)."""
+    one '# n=<n> count=<k>' header (1 <= n <= MAX_FILE_N, as for basis
+    dumps) and then k distinct hex masks below 2^(3n)."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     header = [field.partition("=") for field in lines[0].split()] if lines else []
     if ([key for key, _, _ in header] != ["#", "n", "count"]
-            or not all(value.isdecimal() and len(value) < 10  # n, k < 2^24
+            or not all(value.isdecimal() and len(value) < 10  # n, k < 10^9
                        for _, _, value in header[1:])):
         raise SolutionFormatError("solution dump lacks its '# n=<n> count=<k>' header")
     n, count = (int(value) for _, _, value in header[1:])
-    if not 1 <= 3 * n <= DEFAULT_MAX_BITS:
-        raise SolutionFormatError(
-            f"solution dump n={n} is outside 1..{DEFAULT_MAX_BITS // 3}")
+    if not 1 <= n <= MAX_FILE_N:
+        raise SolutionFormatError(f"solution dump n={n} is outside 1..{MAX_FILE_N}")
     if len(lines) - 1 != count or any(m.strip("0123456789abcdefABCDEF") for m in lines[1:]):
         raise SolutionFormatError(
             f"solution dump must hold {count} hex masks after its header")

@@ -1,5 +1,6 @@
 """Brute-force evaluation, enumeration, and the algebra/oracle agreement."""
 
+import os
 import random
 
 import pytest
@@ -196,9 +197,22 @@ def test_solution_dump_sorted_hex():
     assert values == sorted(values)
 
 
+def test_load_solutions_reads_past_the_enumeration_cap():
+    # the file bound is n <= 1000, as for basis dumps, not the 2^24 cap
+    loaded = load_solutions("# n=9 count=1\n7ffffff\n")
+    assert list(loaded.masks) == [(1 << 27) - 1] and loaded.n == 9
+
+
+@pytest.mark.skipif(os.environ.get("BOOLGB_STRETCH") != "1",
+                    reason="stretch target; set BOOLGB_STRETCH=1 to run")
+def test_solution_dump_roundtrip_n9():
+    sols = enumerate_solutions(make_H(9))
+    assert load_solutions(dump_solutions(sols)) == sols
+
+
 @pytest.mark.parametrize("text", [
     "# n=0 count=5\nfffffff\n",             # n below 1
-    "# n=9 count=0\n",                      # 27 variables, beyond the cap
+    "# n=1001 count=0\n",                   # beyond the file bound of 1000
     "# n=1 count=9\n3\n3\n",                # count mismatch, repeated mask
     "# n=1 count=2\n3\n3\n",                # repeated mask
     "# n=1 count=3\n1\n2\n",                # count mismatch

@@ -1,5 +1,6 @@
 """Packed-int monomials inside the engine: layout, kernels and overflow."""
 
+import functools
 import hashlib
 import random
 
@@ -70,16 +71,25 @@ def test_packed_kernels_agree_with_tuple_kernels(mode, order, scale):
             pa, pb = pk.pack(a), pk.pack(b)
             assert pk.divides(pa, pb) == mono_divides(a, b)
             assert pk.unpack(pk.lcm(pa, pb)) == mono_lcm(a, b)
+            assert pk.gcd(pa, pb) == pk.pack(tuple(map(min, a, b)))
             assert pk.unpack(pk.mul(pa, pb)) == mono_mul(a, b, mode)
             assert (pk.support(pa) & pk.support(pb) == 0) == (
                 not any(x and y for x, y in zip(a, b)))
     # the divisor index, filled one monomial at a time and in two batches,
     # before and after every third slot is removed
     packed = [pk.pack(d) for d in monos]
+    bits = [groebner._bits(pk.support(p)) for p in packed]
     single, batched = groebner._SupportIndex(pk), groebner._SupportIndex(pk)
-    assert [single.add([p]) for p in packed] == list(range(len(monos)))
-    assert (batched.add(packed[:7]), batched.add(packed[7:])) == (0, 7)
+    assert [single.add([p], [b]) for p, b in zip(packed, bits)] == list(
+        range(len(monos)))
+    assert (batched.add(packed[:7], bits[:7]),
+            batched.add(packed[7:], bits[7:])) == (0, 7)
     assert batched.items == single.items == packed
+    # the scan kernel: some monomial of a list divides b
+    for b in packed:
+        for k in range(0, len(packed) + 1, 4):
+            ms = packed[k:k + 4]
+            assert pk.any_divides(ms, b) == any(pk.divides(a, b) for a in ms)
     live = list(range(len(monos)))
     for removing in (False, True):
         if removing:
@@ -202,7 +212,26 @@ def test_strict_interreduce_packs_only_its_result(widths):
     basis = GroebnerBasis(G2 + redundant, DEGLEX)
     del widths[:]
     assert interreduce(basis, strict=True).as_set() == frozenset(G2)
-    assert len(widths) == 1
+    # the result is built from the basis's own packed elements
+    assert widths == []
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_engine_bases_equal_the_bases_of_their_elements(mode, order):
+    # buchberger and interreduce build their bases from packed elements;
+    # GroebnerBasis packs the same polynomials anew
+    rng = random.Random(29)
+    for n in range(2, 6):
+        raw = buchberger(make_H(n, mode, order))[0]
+        reduced = interreduce(raw)
+        for built, reduced_flag in ((raw, False), (reduced, True)):
+            again = GroebnerBasis(list(built), order, reduced_flag)
+            assert built.elements == again.elements
+            assert built.leading_monomials() == again.leading_monomials()
+            assert built.reduced == reduced_flag
+            for _ in range(50):
+                f = random_poly(rng, n, mode, max_exp=3)
+                assert normal_form(f, built) == normal_form(f, again)
 
 
 @pytest.mark.parametrize("mode,order,counts,digest", [
@@ -260,7 +289,16 @@ def test_monomial_pair_criterion_is_sound(mode, order):
         m = random_monomials(rng, 3, mode, 1)[0]
         pk = groebner._Packing(3, mode, order, max(f.degree(), sum(m)))
         (lm, *tail), pm = pk.pack_element(f.terms), pk.pack(m)
-        if not groebner._monomial_pair_is_zero(pk, pm, lm, tail, pk.lcm(pm, lm)):
+        lcm = pk.lcm(pm, lm)
+        if tail:
+            zero = groebner._monomial_pair_is_zero(
+                pk, pm, lm, functools.reduce(pk.gcd, tail), lcm)
+            # g divides the tail's gcd exactly when it divides every tail monomial
+            g = pk.quo(lm, pk.quo(lcm, pm))
+            assert zero == all(pk.divides(g, t) for t in tail)
+        else:
+            zero = True  # two monomials: the S-polynomial is zero
+        if not zero:
             continue
         M = Polynomial({m}, 3, mode)
         assert normal_form(s_polynomial(M, f, order), [M], order).is_zero
