@@ -21,12 +21,14 @@ from boolgb import (
     GroebnerBasis,
     buchberger,
     count_standard_monomials,
+    dump_solutions,
     enumerate_solutions,
     format_poly,
     ideal_membership,
     interreduce,
     is_groebner_basis,
     is_reduced_basis,
+    load_solutions,
     make_G,
     make_H,
     make_S,
@@ -143,11 +145,13 @@ def test_oracle_stretch_n7():
                     reason="stretch target; set BOOLGB_STRETCH=1 to run")
 def test_oracle_stretch_n9():
     """Sol(H(9)) == Sol(G(9)) with 4^9-3^9 = 242,461 points, past 2^24 of
-    the 2^27 points, and G(9) has as many standard monomials."""
+    the 2^27 points, and G(9) has as many standard monomials.  The
+    solution dump reads back equal."""
     with report("stretch n=9 oracle: Sol(H)=Sol(G), counts 242461"):
         sols = enumerate_solutions(make_H(9))
         assert len(sols) == 242_461
         assert sols == enumerate_solutions(make_G(9))
+        assert load_solutions(dump_solutions(sols)) == sols
         basis = GroebnerBasis(make_G(9).polynomials, DEGLEX, reduced=True)
         assert count_standard_monomials(basis) == 242_461
 

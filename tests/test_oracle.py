@@ -1,6 +1,5 @@
 """Brute-force evaluation, enumeration, and the algebra/oracle agreement."""
 
-import os
 import random
 
 import pytest
@@ -201,13 +200,6 @@ def test_load_solutions_reads_past_the_enumeration_cap():
     # the file bound is n <= 1000, as for basis dumps, not the 2^24 cap
     loaded = load_solutions("# n=9 count=1\n7ffffff\n")
     assert list(loaded.masks) == [(1 << 27) - 1] and loaded.n == 9
-
-
-@pytest.mark.skipif(os.environ.get("BOOLGB_STRETCH") != "1",
-                    reason="stretch target; set BOOLGB_STRETCH=1 to run")
-def test_solution_dump_roundtrip_n9():
-    sols = enumerate_solutions(make_H(9))
-    assert load_solutions(dump_solutions(sols)) == sols
 
 
 @pytest.mark.parametrize("text", [
