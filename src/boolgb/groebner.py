@@ -16,33 +16,35 @@ equal monomials in pairs; only `s_polynomial` sums them mod 2 itself.
 Pair selection is the normal strategy (smallest lcm degree, ties broken
 by the monomial order on the lcm, then by pair index).  The update step
 is Gebauer-Moeller style (JSC 1988): it applies the product criterion
-(coprime leading monomials) and the chain criterion.  A monomial pairs
-only with the elements that are not monomials, and in boolean mode gets
-no field tasks (v*m = m); a pair of two monomials has a zero
-S-polynomial, so it counts as processed unformed and still witnesses
-the chain criterion.  A pair of a monomial m and an element f with
-g = gcd(m, lm f) has the S-polynomial (m/g)*tail(f); the monomial
-criterion drops it when g divides the gcd of f's tail (computed once,
-when f enters), since then m divides every monomial of it.  It is the
-product criterion's generalization (g = 1) and acts exactly like it: a
-group of pairs with one lcm is dropped when one member meets either
-criterion, and its lcm still prunes the larger lcms of the same update.
-That scan is one kernel call per lcm, over the minimal lcms of lower
-degree only, as two distinct monomials of one degree never divide each
-other.
+(coprime leading monomials); the chain criterion is checked when a pair
+pops.  A monomial pairs only with the elements that are not monomials,
+and in boolean mode gets no field tasks (v*m = m); a pair of two
+monomials has a zero S-polynomial, so it counts as processed unformed.
+A pair of a monomial m and an element f with g = gcd(m, lm f) has the
+S-polynomial (m/g)*tail(f); the monomial criterion drops it when g
+divides the gcd of f's tail (computed once, when f enters), since then
+m divides every monomial of it.  It is the product criterion's
+generalization (g = 1) and acts exactly like it: a group of pairs with
+one lcm is dropped when one member meets either criterion, and its lcm
+still prunes the larger lcms of the same update.  That scan is one
+kernel call per lcm, over the minimal lcms of lower degree only, as two
+distinct monomials of one degree never divide each other.
 
-Divisibility searches read a support index (after Roune & Stillman,
-ISSAC 2012): monomials in numbered slots, one int with a bit per live
-slot, and one int column per support bit with a bit per slot whose
-monomial has that variable.  The divisors of m are among the live slots
-in no column of a variable m lacks, its multiples among those in every
-column of its support; `divides` confirms each, as a full-mode support
-ignores exponents.  The reducer indexes its leading monomials, and keeps
-the support bits of each, computed once: reduction always divides the
-largest reducible monomial by its first divisor in basis order
-(ascending leading monomial, ties in the order given).  The engine
-indexes the lcms of its live pairs for the chain criterion; the support
-of an lcm is the union of the supports of its two leading monomials.
+The chain criterion drops a queued pair (i, j) as it pops when some
+element t > j, so added since the pair was queued, has lm_t | lcm_ij
+while lcm(lm_i, lm_t) and lcm(lm_j, lm_t) both differ from lcm_ij.
+These are exactly the pairs an update would prune at the arrival of
+each t, as no leading monomial, lcm or heap key ever changes; only the
+heap holds pair state.
+
+Divisibility searches read one support index (after Roune & Stillman,
+ISSAC 2012), the reducer's: one int column per support bit with a bit
+per element whose leading monomial has that variable.  The divisors of
+m are among the elements in no column of a variable m lacks; `divides`
+confirms each, as a full-mode support ignores exponents.  Reduction
+always divides the largest reducible monomial by its first divisor in
+basis order (ascending leading monomial, ties in the order given); the
+chain criterion confirms the candidates above j that divide lcm_ij.
 
 Inside the engine a monomial is one packed Python int (Monagan & Pearce,
 CASC 2007), and an element is its packed terms in descending order:
@@ -131,6 +133,8 @@ class ReductionStats:
     Every generated candidate (ordinary pair or Boolean field task) is
     either queued, skipped by a criterion, or never formed because it is
     a pair of two monomials or a field task of a monomial (pairs_monomial).
+    A queued pair the chain criterion drops when it pops counts in
+    pairs_chain_pruned as well; every other queued task is reduced.
     """
 
     def __init__(self):
@@ -138,6 +142,7 @@ class ReductionStats:
         self.pairs_queued = 0
         self.pairs_skipped_by_criteria = 0
         self.pairs_monomial = 0
+        self.pairs_chain_pruned = 0
         self.reductions_to_zero = 0
         self.wall_time = 0.0
 
@@ -148,6 +153,7 @@ class ReductionStats:
             f"pairsQueued={self.pairs_queued}",
             f"pairsSkippedByCriteria={self.pairs_skipped_by_criteria}",
             f"pairsMonomial={self.pairs_monomial}",
+            f"pairsChainPruned={self.pairs_chain_pruned}",
             f"reductionsToZero={self.reductions_to_zero}",
             f"wallTimeMs={int(self.wall_time * 1000)}",
         ]
@@ -344,63 +350,6 @@ def _support_vars(pk, m):
     return [v for v, s in enumerate(pk.shifts) if m >> s & 1]
 
 
-class _SupportIndex:
-    """Packed monomials in numbered slots, bit-sliced by support; slots are not reused."""
-
-    __slots__ = ("pk", "items", "live", "bits", "columns")
-
-    def __init__(self, pk):
-        self.pk = pk
-        self.items = []  # slot -> monomial, None once removed
-        self.live = 0    # bit s set while slot s holds a monomial
-        self.bits = 0    # every support bit of a monomial ever added
-        self.columns = collections.defaultdict(int)  # support bit -> slots
-
-    def add(self, monomials, supports):
-        """Put the monomials in the next slots, in order, given the support
-        bits of each (repeats allowed); returns the first slot."""
-        first = len(self.items)
-        self.items += monomials
-        self.live |= ((1 << len(monomials)) - 1) << first
-        # columns of this batch alone, numbered from 0, so that each long
-        # column is copied once per batch instead of once per monomial
-        local = collections.defaultdict(int)
-        for k, bits in enumerate(supports):
-            for b in bits:
-                local[b] |= 1 << k
-        columns = self.columns
-        for b, column in local.items():
-            columns[b] |= column << first
-            self.bits |= 1 << b
-        return first
-
-    def remove(self, s):
-        self.items[s] = None
-        self.live ^= 1 << s
-
-    def first_divisor(self, m):
-        """Lowest live slot whose monomial divides m, or -1."""
-        outside = 0  # slots with a variable that m lacks
-        for b in _bits(self.bits & ~self.pk.support(m)):
-            outside |= self.columns[b]
-        candidates = self.live & ~outside
-        divides, items = self.pk.divides, self.items
-        while candidates:
-            s = (candidates & -candidates).bit_length() - 1
-            if divides(items[s], m):
-                return s
-            candidates &= candidates - 1
-        return -1
-
-    def multiples(self, m):
-        """Live slots whose monomial m divides, ascending."""
-        candidates = self.live
-        for b in _bits(self.pk.support(m)):
-            candidates &= self.columns[b]
-        divides, items = self.pk.divides, self.items
-        return [s for s in _bits(candidates) if divides(m, items[s])]
-
-
 class GeneratorSet:
     """A finite set of nonzero generators in one ring mode, with an order.
 
@@ -504,36 +453,60 @@ class GroebnerBasis:
 # reduction
 
 class _Reducer:
-    """Packed elements lms[i] + tails[i]; lms[i] sits in slot i of the
-    index, and supports[i] lists the support bits of lms[i]."""
+    """Packed elements lms[i] + tails[i], with their leading monomials
+    bit-sliced by support: columns maps each support bit (as a one-bit
+    int) to the elements whose lm has it, bit i for element i."""
 
-    __slots__ = ("pk", "index", "lms", "tails", "supports", "hits")
+    __slots__ = ("pk", "lms", "tails", "columns", "hits")
 
     def __init__(self, pk, elements=()):
         self.pk = pk
-        self.index = _SupportIndex(pk)
-        self.lms = self.index.items
+        self.lms = []
         self.tails = []
-        self.supports = []
+        self.columns = collections.defaultdict(int)
         self.hits = {}  # monomial -> index of first divisor (stable: appends only)
         self.extend(elements)
 
     def extend(self, elements):
         """Append elements given lm first, the tail descending."""
-        lms = [element[0] for element in elements]
-        supports = [_bits(self.pk.support(lm)) for lm in lms]
-        self.index.add(lms, supports)
-        self.supports += supports
+        # columns of this batch alone, numbered from 0, so that each long
+        # column is copied once per batch instead of once per element
+        local = collections.defaultdict(int)
+        for k, element in enumerate(elements):
+            for b in _bits(self.pk.support(element[0])):
+                local[1 << b] |= 1 << k
+        first = len(self.lms)
+        for bit, column in local.items():
+            self.columns[bit] |= column << first
+        self.lms += [element[0] for element in elements]
         self.tails += [tuple(element[1:]) for element in elements]
+
+    def candidates(self, m):
+        """The elements whose lm may divide m, as a bit set: those in no
+        column of a variable that m lacks.  `divides` confirms each, as a
+        full-mode support ignores exponents."""
+        lacked = ~self.pk.support(m)
+        outside = 0
+        for bit, column in self.columns.items():
+            if bit & lacked:
+                outside |= column
+        return ((1 << len(self.lms)) - 1) ^ outside
 
     def find_divisor(self, m):
         """Index of the first leading monomial dividing m, or -1."""
         idx = self.hits.get(m)
-        if idx is None:
-            idx = self.index.first_divisor(m)
-            if idx >= 0:
+        if idx is not None:
+            return idx
+        divides, lms = self.pk.divides, self.lms
+        candidates = self.candidates(m)
+        while candidates:
+            low = candidates & -candidates
+            idx = low.bit_length() - 1
+            if divides(lms[idx], m):
                 self.hits[m] = idx
-        return idx
+                return idx
+            candidates ^= low
+        return -1
 
 
 def _reduce_terms(terms, red: _Reducer):
@@ -637,19 +610,15 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
 
 
 def _buchberger(F, pk, max_pairs, max_basis, t0):
-    key, degree, lcm, quo = pk.key, pk.degree, pk.lcm, pk.quo
-    any_divides = pk.any_divides
+    key, unkey, degree, lcm, quo = pk.key, pk.unkey, pk.degree, pk.lcm, pk.quo
+    divides, any_divides = pk.divides, pk.any_divides
     stats = ReductionStats()
 
     red = _Reducer(pk)  # the working elements, lm first
-    lms, tails, supports = red.lms, red.tails, red.supports
+    lms, tails = red.lms, red.tails
     gcds = []         # the gcd of each working element's tail, None for a monomial
     nonmono = []      # indices of the working elements that are not monomials
-    # the live ordinary pairs by lcm, for the chain criterion; slot s is
-    # pair owners[s] = (i, j) until it is popped or pruned
-    pairs = _SupportIndex(pk)
-    owners = []
-    heap = []         # (lcm key, kind, i, j, slot); pruned pairs skipped at pop
+    heap = []         # (lcm key, kind, i, j): pairs, and field tasks of kind 1
 
     def update(element):
         """Gebauer-Moeller insertion of a new element, given lm first."""
@@ -665,15 +634,6 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
 
         stats.pairs_generated += t
         pruned = 0
-        # chain criterion: prune existing pairs made redundant by the new lm
-        for s in pairs.multiples(lmf):
-            i, j = owners[s]
-            lcm_ij = pairs.items[s]
-            if lcm(lms[i], lmf) != lcm_ij and lcm(lms[j], lmf) != lcm_ij:
-                pairs.remove(s)
-                owners[s] = None
-                pruned += 1
-
         # a monomial pairs only with non-monomials: the S-polynomial of two
         # monomials is zero, so such a pair counts as processed unformed
         partners = nonmono if monomial else range(t)
@@ -687,7 +647,6 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         minimal = []  # minimal lcms of lower degree than lcm_f
         level = []    # minimal lcms of the degree of lcm_f
         d = -1
-        queued, firsts = [], []
         for lcm_f in sorted(groups, key=key):
             if degree(lcm_f) != d:
                 d = degree(lcm_f)
@@ -711,16 +670,10 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             if zero:
                 pruned += len(members)
             else:
-                queued.append(lcm_f)
-                firsts.append(members[0])
+                heapq.heappush(heap, (key(lcm_f), 0, members[0], t))
+                stats.pairs_queued += 1
                 pruned += len(members) - 1
         stats.pairs_skipped_by_criteria += pruned
-        # the support of an lcm is the union of its two leading monomials'
-        first = pairs.add(queued, [supports[t] + supports[i] for i in firsts])
-        for s, (lcm_f, i) in enumerate(zip(queued, firsts), first):
-            owners.append((i, t))
-            heapq.heappush(heap, (key(lcm_f), 0, i, t, s))
-        stats.pairs_queued += len(queued)
 
         if pk.boolean:
             support_vars = _support_vars(pk, lmf)
@@ -730,23 +683,32 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             else:
                 stats.pairs_queued += len(support_vars)
                 for v in support_vars:
-                    heapq.heappush(heap, (key(lmf), 1, t, v, -1))
+                    heapq.heappush(heap, (key(lmf), 1, t, v))
         if not monomial:
             nonmono.append(t)
         if stats.pairs_queued > max_pairs:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"pair cap exceeded ({max_pairs})", stats)
 
+    def chain(i, j, lcm_ij):
+        """The chain criterion on the pair (i, j) as it pops: some element
+        t > j, so added since the pair was queued, has lm_t | lcm_ij while
+        lcm(lm_i, lm_t) and lcm(lm_j, lm_t) both differ from lcm_ij."""
+        for b in _bits(red.candidates(lcm_ij) >> j + 1):
+            lmt = lms[j + 1 + b]
+            if (divides(lmt, lcm_ij) and lcm(lms[i], lmt) != lcm_ij
+                    and lcm(lms[j], lmt) != lcm_ij):
+                return True
+        return False
+
     for f in F.polynomials:
         update(pk.pack_element(f.terms))
 
     while heap:
-        _, kind, i, j, s = heapq.heappop(heap)
-        if kind == 0:
-            if owners[s] is None:
-                continue  # pruned by the chain criterion after being queued
-            pairs.remove(s)
-            owners[s] = None
+        k, kind, i, j = heapq.heappop(heap)
+        if kind == 0 and chain(i, j, unkey(k)):
+            stats.pairs_chain_pruned += 1
+            continue
         r = _reduce_terms(_task_terms(pk, lms, tails, kind, i, j), red)
         if r:
             update(r)

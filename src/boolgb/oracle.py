@@ -12,17 +12,17 @@ follows the live candidates, about 4^n on the H and G families, not the
 2^(3n) points.
 
 The solution set is the independent oracle against which the algebraic
-engine is checked, valid whenever the generator set contains (or, in
-boolean mode, implies) every field polynomial — then all solutions over
-the algebraic closure are already F2-valued and exhaustive search sees
-the whole solution set.  Run on leading monomials over a box of
-exponent vectors, the same enumerator counts standard monomials
-(`construction.count_standard_monomials`).
+engine is checked, valid whenever the ideal of the generator set holds
+every field polynomial (listed, of normal form 0, or in boolean mode
+part of the ring) — then all solutions over the algebraic closure are
+already F2-valued and exhaustive search sees the whole solution set.
+Run on leading monomials over a box of exponent vectors, the same
+enumerator counts standard monomials (`construction.count_standard_monomials`).
 """
 
 from itertools import chain, compress, repeat
 
-from .groebner import MAX_FILE_N, GeneratorSet
+from .groebner import MAX_FILE_N, GeneratorSet, GroebnerBasis, normal_form
 from .polyring import BOOLEAN, FULL, Polynomial, mono_support, mono_var
 
 DEFAULT_MAX_BITS = 24  # enumeration cap: at most 2^24 live candidates
@@ -279,24 +279,29 @@ def solution_sets_equal(F1: GeneratorSet, F2: GeneratorSet,
 
 
 def has_all_field_polys(F: GeneratorSet) -> bool:
-    """Structural check: c^2 + c present for every variable (full mode);
-    boolean mode carries the field relations in the ring itself."""
+    """True when the ideal of F provably holds c^2 + c for every variable
+    (full mode): each is listed in F or has normal form 0 modulo F.  A
+    reduced basis drops c^2 + c when some leading monomial divides c^2.
+    Boolean mode carries the field relations in the ring itself."""
     if F.mode == BOOLEAN:
         return True
     nv = F.nvars
-    want = {
+    missing = {
         Polynomial((mono_var(v, nv, 2), mono_var(v, nv)), nv, FULL)
         for v in range(nv)
-    }
-    return want <= set(F.polynomials)
+    } - set(F.polynomials)
+    if not missing:
+        return True
+    G = GroebnerBasis(F.polynomials, F.order)
+    return all(normal_form(c, G).is_zero for c in missing)
 
 
 def membership_by_evaluation(f: Polynomial, F: GeneratorSet,
                              max_bits: int = DEFAULT_MAX_BITS) -> bool:
     """True iff f vanishes on every enumerated solution of F.
 
-    Equivalent to ideal membership when F contains all field polynomials
-    (the ideal is then radical with all solutions in F2^(3n)); raises
+    Equivalent to ideal membership when the ideal of F contains all field
+    polynomials (it is then radical with all solutions in F2^(3n)); raises
     FieldPolysMissingError otherwise since the equivalence would be
     unsound, and ArityMismatchError when f and F live in different rings.
     f is evaluated on the solutions' columns of its own variables.

@@ -14,6 +14,7 @@ from boolgb import (
     GroebnerBasis,
     dump_basis,
     load_basis,
+    make_G,
     make_H,
     parse_poly,
     save_generators,
@@ -304,6 +305,31 @@ def test_member_false(h2_basis_file, capsys):
     assert stdout.strip() == "member=false oracle=false"
 
 
+@pytest.mark.parametrize("poly,line", [
+    ("x1^2+x1", "member=true oracle=true"),
+    ("x1", "member=false oracle=false"),
+])
+def test_member_oracle_on_a_basis_that_implies_the_field_polys(
+        tmp_path, capsys, poly, line):
+    # the reduced basis {z1, y1, x1+1} lists no c^2+c, but each reduces to 0
+    gens = tmp_path / "f.gens"
+    gens.write_text("# n=1 mode=full\nx1+1\ny1\nz1\n")
+    basis = tmp_path / "f.json"
+    assert main(["gb", str(gens), "--out", str(basis)]) == 0
+    rc, stdout, _ = run(capsys, "member", poly, str(basis), "--oracle")
+    assert rc == 0
+    assert stdout.strip() == line
+
+
+def test_member_oracle_unavailable_without_the_field_polys(tmp_path, capsys):
+    path = tmp_path / "b.json"
+    path.write_text(dump_basis(GroebnerBasis([parse_poly("x1*y1+1", 1)], DEGLEX)))
+    rc, stdout, stderr = run(capsys, "member", "x1^2+x1", str(path), "--oracle")
+    assert rc == 0
+    assert stdout.strip() == "member=false oracle=unavailable"
+    assert "lacks field polynomials" in stderr
+
+
 def test_member_parse_error(h2_basis_file, capsys):
     rc, _, _ = run(capsys, "member", "x9", h2_basis_file)
     assert rc == 2
@@ -592,6 +618,24 @@ def test_verify_boolean_engine_runs_only_the_boolean_engine(capsys, monkeypatch)
     rc, stdout, _ = run(capsys, "verify", "--n", "2", "--engine", "boolean")
     assert rc == 0, stdout
     assert modes == ["boolean"]
+
+
+def test_verify_enumerates_sol_h_once(capsys, monkeypatch):
+    # V1 compares Sol(H) with Sol(G), and V4 counts the same Sol(H)
+    from boolgb import oracle
+    enumerated = []
+    enumerate_solutions = oracle.enumerate_solutions
+
+    def recorded(F, *args, **kwargs):
+        enumerated.append(len(F))
+        return enumerate_solutions(F, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_solutions", recorded)
+    rc, stdout, _ = run(capsys, "verify", "--n", "3")
+    assert rc == 0
+    assert stdout.count("PASS") == 5
+    assert "solutions 37, predicted 37" in stdout
+    assert enumerated == [len(make_H(3)), len(make_G(3))]
 
 
 @pytest.mark.parametrize("text", [

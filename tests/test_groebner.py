@@ -34,6 +34,7 @@ from boolgb import (
     s_polynomial,
     to_full,
 )
+from test_packing import chain_systems
 from test_polyring import random_poly
 
 
@@ -359,13 +360,26 @@ def test_stats_invariants():
 @pytest.mark.parametrize("order", [DEGLEX, DEGREVLEX])
 @pytest.mark.parametrize("mode", [FULL, BOOLEAN])
 def test_every_candidate_is_queued_skipped_or_monomial(mode, order):
-    for n in (2, 3, 4, 5):
-        _, stats = buchberger(make_H(n, mode, order))
-        assert stats.pairs_monomial > 0
+    # H(n), where the chain criterion never fires, and the seeded systems
+    # of this mode and order, where it does
+    H = [make_H(n, mode, order) for n in (2, 3, 4, 5)]
+    chained = [F for F in chain_systems()
+               if (F.mode, F.order.scheme) == (mode, order.scheme)]
+    counts = []  # (pairs_monomial, pairs_chain_pruned) of each system
+    for F in H + chained:
+        raw, stats = buchberger(F)
         assert stats.pairs_generated == (stats.pairs_queued
                                          + stats.pairs_skipped_by_criteria
-                                         + stats.pairs_monomial), n
-        assert f"pairsMonomial={stats.pairs_monomial}\n" in stats.as_block()
+                                         + stats.pairs_monomial), F
+        # a queued task is chain-pruned as it pops, or reduced: to zero or
+        # to a new element
+        assert stats.pairs_queued - stats.pairs_chain_pruned == (
+            stats.reductions_to_zero + len(raw) - len(F)), F
+        assert (f"pairsMonomial={stats.pairs_monomial}\n"
+                f"pairsChainPruned={stats.pairs_chain_pruned}\n") in stats.as_block()
+        counts.append((stats.pairs_monomial, stats.pairs_chain_pruned))
+    assert all(monomial > 0 and pruned == 0 for monomial, pruned in counts[:len(H)])
+    assert sum(pruned for _, pruned in counts[len(H):]) > 0
 
 
 def test_basis_rejects_zero_elements():

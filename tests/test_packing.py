@@ -22,6 +22,7 @@ from boolgb import (
     leading_monomial,
     make_G,
     make_H,
+    make_S,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -30,6 +31,7 @@ from boolgb import (
     s_polynomial,
 )
 from boolgb import groebner
+from test_oracle_differential import random_system
 from test_polyring import random_poly
 
 CASES = [(mode, order) for mode in (FULL, BOOLEAN) for order in (DEGLEX, DEGREVLEX)]
@@ -75,34 +77,31 @@ def test_packed_kernels_agree_with_tuple_kernels(mode, order, scale):
             assert pk.unpack(pk.mul(pa, pb)) == mono_mul(a, b, mode)
             assert (pk.support(pa) & pk.support(pb) == 0) == (
                 not any(x and y for x, y in zip(a, b)))
-    # the divisor index, filled one monomial at a time and in two batches,
-    # before and after every third slot is removed
-    packed = [pk.pack(d) for d in monos]
-    bits = [groebner._bits(pk.support(p)) for p in packed]
-    single, batched = groebner._SupportIndex(pk), groebner._SupportIndex(pk)
-    assert [single.add([p], [b]) for p, b in zip(packed, bits)] == list(
-        range(len(monos)))
-    assert (batched.add(packed[:7], bits[:7]),
-            batched.add(packed[7:], bits[7:])) == (0, 7)
-    assert batched.items == single.items == packed
     # the scan kernel: some monomial of a list divides b
+    packed = [pk.pack(d) for d in monos]
     for b in packed:
         for k in range(0, len(packed) + 1, 4):
             ms = packed[k:k + 4]
             assert pk.any_divides(ms, b) == any(pk.divides(a, b) for a in ms)
-    live = list(range(len(monos)))
-    for removing in (False, True):
-        if removing:
-            for s in live[::3]:
-                single.remove(s)
-                batched.remove(s)
-            del live[::3]
-        for a in monos:
-            divisors = [i for i in live if mono_divides(monos[i], a)]
-            multiples = [i for i in live if mono_divides(a, monos[i])]
-            for index in (single, batched):
-                assert index.first_divisor(pk.pack(a)) == (divisors or [-1])[0]
-                assert index.multiples(pk.pack(a)) == multiples
+    # the reducer's divisor index, extended one element at a time and in
+    # two batches; each monomial is an element without a tail
+    single, batched = groebner._Reducer(pk), groebner._Reducer(pk)
+    for p in packed:
+        single.extend([[p]])
+    batched.extend([[p] for p in packed[:7]])
+    batched.extend([[p] for p in packed[7:]])
+    assert batched.lms == single.lms == packed
+    assert batched.columns == single.columns
+    for a in monos:
+        divisors = [i for i, d in enumerate(monos) if mono_divides(d, a)]
+        for red in (single, batched):
+            assert red.find_divisor(pk.pack(a)) == (divisors or [-1])[0]
+            # exactly the elements whose support lies in that of a
+            lacked = ~pk.support(pk.pack(a))
+            candidates = red.candidates(pk.pack(a))
+            assert candidates == sum(1 << i for i, p in enumerate(packed)
+                                     if not pk.support(p) & lacked)
+            assert all(candidates >> i & 1 for i in divisors)
 
 
 @pytest.mark.parametrize("mode,order,scale", SCALED)
@@ -273,6 +272,45 @@ def test_reduction_stats_pinned_at_n6(mode, order, counts, digest):
             stats.pairs_skipped_by_criteria, stats.pairs_monomial,
             stats.reductions_to_zero) == counts
     assert hashlib.sha256(dump_basis(raw).encode()).hexdigest() == digest
+
+
+def chain_systems():
+    """24 seeded random systems, cycling n in {1, 2}, both modes and both
+    orders, with the field polynomials adjoined in the full ring.  The
+    chain criterion fires on 10 of them, where it never does on H(n)."""
+    rng = random.Random(317)
+    systems = []
+    for k in range(24):
+        n, mode = 1 + k % 2, (FULL, BOOLEAN)[k // 2 % 2]
+        F = random_system(rng, n, mode)
+        gens = list(F.polynomials) + (list(make_S(n)) if mode == FULL else [])
+        systems.append(GeneratorSet(gens, (DEGLEX, DEGREVLEX)[k // 4 % 2]))
+    return systems
+
+
+def test_reduction_stats_pinned_where_the_chain_criterion_fires():
+    # every engine decision on systems where the chain criterion prunes:
+    # the counters that do not depend on when a prune is counted, and the
+    # raw bases byte for byte
+    counts, pruned = [], 0
+    digest = hashlib.sha256()
+    for F in chain_systems():
+        raw, stats = buchberger(F)
+        counts.append((stats.pairs_generated, stats.pairs_queued,
+                       stats.pairs_monomial, stats.reductions_to_zero))
+        # a queued pair is pruned, reduced to zero, or adds an element
+        pruned += stats.pairs_queued - stats.reductions_to_zero - (len(raw) - len(F))
+        digest.update(dump_basis(raw).encode() + b"\n")
+    assert counts == [
+        (21, 5, 0, 3), (45, 13, 0, 10), (4, 3, 0, 3), (106, 45, 6, 29),
+        (21, 6, 0, 3), (66, 3, 10, 0), (23, 7, 4, 4), (106, 42, 2, 28),
+        (21, 0, 0, 0), (91, 26, 0, 15), (18, 10, 3, 6), (26, 21, 0, 17),
+        (36, 7, 0, 3), (231, 47, 0, 18), (33, 17, 1, 13), (46, 28, 0, 19),
+        (10, 1, 1, 0), (78, 14, 1, 9), (17, 7, 3, 4), (14, 13, 0, 11),
+        (21, 6, 0, 3), (105, 24, 0, 11), (4, 3, 0, 3), (1, 0, 1, 0)]
+    assert pruned == 44
+    assert digest.hexdigest() == (
+        "b5e5a5798ac7feb35413487aef65c2901264412046cbf698ab399aca49899d39")
 
 
 @pytest.mark.parametrize("mode,order", CASES)
