@@ -176,6 +176,23 @@ def test_verify_passes_small_n(capsys):
         assert "FAIL" not in stdout
 
 
+def test_verify_packs_G_once(capsys, monkeypatch):
+    # V2a, V2b and the interreduction behind V3 and V4 read one basis of G
+    G3 = frozenset(make_G(3).polynomials)
+    built = []
+    init = GroebnerBasis.__init__
+
+    def counting(self, elements, order):
+        elements = list(elements)
+        built.append(frozenset(elements) == G3)
+        init(self, elements, order)
+
+    monkeypatch.setattr(GroebnerBasis, "__init__", counting)
+    rc, stdout, _ = run(capsys, "verify", "--n", "3")
+    assert rc == 0 and stdout.count("PASS") == 5
+    assert built.count(True) == 1
+
+
 def test_verify_n1_flags_expected(capsys):
     rc, stdout, _ = run(capsys, "verify", "--n", "1")
     assert rc == 0
@@ -347,7 +364,7 @@ def test_member_oracle_disagreement_exit_4(tmp_path, capsys):
     # normal form of y1 against these elements is y1 itself
     polys = [parse_poly(t, 1) for t in
              ("x1^2+x1", "y1^2+y1", "z1^2+z1", "x1+y1", "x1")]
-    fake = GroebnerBasis(polys, DEGLEX, reduced=False)
+    fake = GroebnerBasis(polys, DEGLEX)
     path = tmp_path / "fake.json"
     path.write_text(dump_basis(fake))
     rc, _, stderr = run(capsys, "member", "y1", str(path), "--oracle")
@@ -596,7 +613,7 @@ def test_engine_disagreement_exit_4(tmp_path, capsys, monkeypatch, command):
 
     def dropped(basis, n, order):
         lifted = lift(basis, n, order)
-        return GroebnerBasis(lifted.elements[1:], order, reduced=True)
+        return GroebnerBasis(lifted.elements[1:], order)
 
     monkeypatch.setattr(cli, "_boolean_as_full", dropped)
     target = [write_h(tmp_path, 2)] if command == "gb" else ["--n", "2"]

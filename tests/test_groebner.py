@@ -34,7 +34,7 @@ from boolgb import (
     s_polynomial,
     to_full,
 )
-from test_packing import chain_systems
+from test_packing import CASES, chain_systems
 from test_polyring import random_poly
 
 
@@ -181,10 +181,9 @@ def test_generator_set_drops_zero_and_duplicates():
 
 def test_interreduce_fixed_point_on_reduced_basis():
     G2 = make_G(2)
-    basis = GroebnerBasis(list(G2.polynomials), DEGLEX, reduced=False)
+    basis = GroebnerBasis(list(G2.polynomials), DEGLEX)
     red = interreduce(basis)
     assert red.as_set() == frozenset(G2.polynomials)
-    assert red.reduced
     again = interreduce(red)
     assert again.as_set() == red.as_set()
 
@@ -202,7 +201,7 @@ def test_interreduce_g2_as_generators():
 def test_interreduce_strict_rejects_non_basis():
     # {x*y, x+y}: minimalization drops x*y, which does not reduce to zero
     # against {x+y} alone, so the input was not a Groebner basis.
-    bad = GroebnerBasis([P("x1*y1"), P("x1+y1")], DEGLEX, reduced=False)
+    bad = GroebnerBasis([P("x1*y1"), P("x1+y1")], DEGLEX)
     with pytest.raises(NotAGroebnerBasisError):
         interreduce(bad, strict=True)
 
@@ -236,6 +235,29 @@ def test_is_reduced_basis_boundary():
     assert is_reduced_basis(list(make_G(4).polynomials), DEGLEX)
     assert not is_reduced_basis(list(make_G(1).polynomials), DEGLEX)
     assert not is_reduced_basis([P("x1"), P("x1+y1")], DEGLEX)
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_predicates_read_a_basis_as_its_element_list(mode, order):
+    reduced = interreduce(buchberger(make_H(3, mode, order))[0])
+    # H(3) is reduced but no Groebner basis; G(1) is one but not reduced
+    H3 = GroebnerBasis(list(make_H(3, mode, order)), order)
+    G1 = GroebnerBasis(list(make_G(1, mode, order)), order)
+    answers = set()
+    for basis in (reduced, H3, G1):
+        answer = (is_groebner_basis(basis), is_reduced_basis(basis))
+        assert answer == (is_groebner_basis(list(basis), order),
+                          is_reduced_basis(list(basis), order))
+        answers.add(answer)
+    assert answers == {(True, True), (False, True), (True, False)}
+
+
+def test_predicates_read_a_basis_in_its_own_order():
+    # a reduced degrevlex basis; under deglex y1^2 is no leading monomial
+    polys = [P("y1^2+x1*z1+x1"), P("x1*y1+x1*z1+x1"), P("x1^2*z1+x1*z1^2+x1^2+x1")]
+    basis = GroebnerBasis(polys, DEGREVLEX)
+    assert is_groebner_basis(basis) and is_reduced_basis(basis)
+    assert not is_groebner_basis(polys) and not is_reduced_basis(polys)
 
 
 def test_ideal_membership():
@@ -278,7 +300,7 @@ def boolean_lifted_basis(n, F_bool):
     raw, _ = buchberger(F_bool)
     red = interreduce(raw)
     lifted = [to_full(g) for g in red.elements] + list(make_S(n))
-    return interreduce(GroebnerBasis(lifted, F_bool.order, reduced=False))
+    return interreduce(GroebnerBasis(lifted, F_bool.order))
 
 
 def test_mode_consistency_on_h():
