@@ -13,7 +13,6 @@
 from boolgb import (
     DEGLEX,
     DEGREVLEX,
-    GroebnerBasis,
     buchberger,
     count_standard_monomials,
     enumerate_solutions,
@@ -46,9 +45,8 @@ def main():
         print("   ", p)
 
     print("\n-- G is the reduced basis ----------------------------------")
-    packed = GroebnerBasis(G.polynomials, DEGLEX)  # both checks read one packing
-    print(f"is_groebner_basis(G): {is_groebner_basis(packed)}")
-    print(f"is_reduced_basis(G):  {is_reduced_basis(packed)}")
+    print(f"is_groebner_basis(G): {is_groebner_basis(list(G.polynomials), DEGLEX)}")
+    print(f"is_reduced_basis(G):  {is_reduced_basis(list(G.polynomials), DEGLEX)}")
     for order in (DEGLEX, DEGREVLEX):
         raw, stats = buchberger(make_H(N, order=order))
         basis = interreduce(raw)

@@ -394,12 +394,13 @@ class GroebnerBasis:
 
     Ties keep the order given.  The elements are packed once, when the
     basis is built, into the reducer that every read of the basis uses;
-    the engine hands its elements over packed.
+    the engine hands its elements over packed.  The `reduced` flag is a
+    cache, never a proof; verification predicates recompute it.
     """
 
-    __slots__ = ("elements", "order", "mode", "nvars", "n", "_reducer")
+    __slots__ = ("elements", "order", "mode", "nvars", "n", "reduced", "_reducer")
 
-    def __init__(self, elements, order: MonomialOrder):
+    def __init__(self, elements, order: MonomialOrder, reduced: bool = False):
         elements = list(elements)
         if not elements:
             raise ValueError("basis needs at least one element")
@@ -408,9 +409,10 @@ class GroebnerBasis:
         _check_compatible(*elements)
         pk = _Packing(elements[0].nvars, elements[0].mode, order,
                       max(f.degree() for f in elements))
-        self._build(pk, [pk.pack_element(f.terms) for f in elements], order, elements)
+        self._build(pk, [pk.pack_element(f.terms) for f in elements], order,
+                    reduced, elements)
 
-    def _build(self, pk, packed, order, polys=None):
+    def _build(self, pk, packed, order, reduced, polys=None):
         """Fill the basis from packed elements, lm first and the tail
         descending, and return it.  They are sorted stably by leading
         monomial and read through one reducer; `elements` takes polys[k]
@@ -429,6 +431,7 @@ class GroebnerBasis:
         self.mode = mode
         self.nvars = nvars
         self.n = nvars // 3
+        self.reduced = reduced
         return self
 
     def leading_monomials(self):
@@ -445,7 +448,7 @@ class GroebnerBasis:
 
     def __repr__(self):
         return (f"GroebnerBasis({len(self.elements)} elements, n={self.n}, "
-                f"mode={self.mode!r}, order={self.order.scheme})")
+                f"mode={self.mode!r}, order={self.order.scheme}, reduced={self.reduced})")
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +725,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
 
     stats.wall_time = time.perf_counter() - t0
     basis = GroebnerBasis.__new__(GroebnerBasis)._build(
-        pk, [(lm, *tail) for lm, tail in zip(lms, tails)], F.order)
+        pk, [(lm, *tail) for lm, tail in zip(lms, tails)], F.order, reduced=False)
     return basis, stats
 
 
@@ -741,14 +744,14 @@ def interreduce(G: GroebnerBasis, strict: bool = False) -> GroebnerBasis:
     (NotAGroebnerBasisError otherwise).
     """
     red = G._reducer
-    reduced, removed = [], []
+    kept, removed = [], []
     # in basis order an lm is redundant exactly when its first divisor is not itself
     for i, (f, lm, tail) in enumerate(zip(G.elements, red.lms, red.tails)):
         if red.find_divisor(lm) != i:
             removed.append(f)
         else:
-            reduced.append([lm, *_reduce_terms(tail, red)])
-    result = GroebnerBasis.__new__(GroebnerBasis)._build(red.pk, reduced, G.order)
+            kept.append([lm, *_reduce_terms(tail, red)])
+    result = GroebnerBasis.__new__(GroebnerBasis)._build(red.pk, kept, G.order, reduced=True)
     if strict:
         for f in removed:
             if not normal_form(f, result).is_zero:
@@ -794,9 +797,8 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
 
 
 def is_reduced_basis(polys, order: MonomialOrder = DEGLEX) -> bool:
-    """True iff leading monomials are pairwise non-divisible and all tails
-    are reduced (no monomial of any element divisible by another's lm);
-    polys is read as in is_groebner_basis."""
+    """True iff no monomial of any element is divisible by another element's
+    lm, so the lms are pairwise non-divisible; polys as in is_groebner_basis."""
     basis = _as_basis(polys, order)
     if basis is None:
         return True

@@ -182,10 +182,10 @@ def test_verify_packs_G_once(capsys, monkeypatch):
     built = []
     init = GroebnerBasis.__init__
 
-    def counting(self, elements, order):
+    def counting(self, elements, order, reduced=False):
         elements = list(elements)
         built.append(frozenset(elements) == G3)
-        init(self, elements, order)
+        init(self, elements, order, reduced)
 
     monkeypatch.setattr(GroebnerBasis, "__init__", counting)
     rc, stdout, _ = run(capsys, "verify", "--n", "3")
@@ -364,7 +364,7 @@ def test_member_oracle_disagreement_exit_4(tmp_path, capsys):
     # normal form of y1 against these elements is y1 itself
     polys = [parse_poly(t, 1) for t in
              ("x1^2+x1", "y1^2+y1", "z1^2+z1", "x1+y1", "x1")]
-    fake = GroebnerBasis(polys, DEGLEX)
+    fake = GroebnerBasis(polys, DEGLEX, reduced=False)
     path = tmp_path / "fake.json"
     path.write_text(dump_basis(fake))
     rc, _, stderr = run(capsys, "member", "y1", str(path), "--oracle")
@@ -613,7 +613,7 @@ def test_engine_disagreement_exit_4(tmp_path, capsys, monkeypatch, command):
 
     def dropped(basis, n, order):
         lifted = lift(basis, n, order)
-        return GroebnerBasis(lifted.elements[1:], order)
+        return GroebnerBasis(lifted.elements[1:], order, reduced=True)
 
     monkeypatch.setattr(cli, "_boolean_as_full", dropped)
     target = [write_h(tmp_path, 2)] if command == "gb" else ["--n", "2"]

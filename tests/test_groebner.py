@@ -181,9 +181,10 @@ def test_generator_set_drops_zero_and_duplicates():
 
 def test_interreduce_fixed_point_on_reduced_basis():
     G2 = make_G(2)
-    basis = GroebnerBasis(list(G2.polynomials), DEGLEX)
+    basis = GroebnerBasis(list(G2.polynomials), DEGLEX, reduced=False)
     red = interreduce(basis)
     assert red.as_set() == frozenset(G2.polynomials)
+    assert red.reduced
     again = interreduce(red)
     assert again.as_set() == red.as_set()
 
@@ -201,7 +202,7 @@ def test_interreduce_g2_as_generators():
 def test_interreduce_strict_rejects_non_basis():
     # {x*y, x+y}: minimalization drops x*y, which does not reduce to zero
     # against {x+y} alone, so the input was not a Groebner basis.
-    bad = GroebnerBasis([P("x1*y1"), P("x1+y1")], DEGLEX)
+    bad = GroebnerBasis([P("x1*y1"), P("x1+y1")], DEGLEX, reduced=False)
     with pytest.raises(NotAGroebnerBasisError):
         interreduce(bad, strict=True)
 
@@ -300,7 +301,7 @@ def boolean_lifted_basis(n, F_bool):
     raw, _ = buchberger(F_bool)
     red = interreduce(raw)
     lifted = [to_full(g) for g in red.elements] + list(make_S(n))
-    return interreduce(GroebnerBasis(lifted, F_bool.order))
+    return interreduce(GroebnerBasis(lifted, F_bool.order, reduced=False))
 
 
 def test_mode_consistency_on_h():

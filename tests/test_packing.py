@@ -223,10 +223,11 @@ def test_engine_bases_equal_the_bases_of_their_elements(mode, order):
     for n in range(2, 6):
         raw = buchberger(make_H(n, mode, order))[0]
         reduced = interreduce(raw)
-        for built in (raw, reduced):
-            again = GroebnerBasis(list(built), order)
+        for built, reduced_flag in ((raw, False), (reduced, True)):
+            again = GroebnerBasis(list(built), order, reduced_flag)
             assert built.elements == again.elements
             assert built.leading_monomials() == again.leading_monomials()
+            assert built.reduced == reduced_flag
             for _ in range(50):
                 f = random_poly(rng, n, mode, max_exp=3)
                 assert normal_form(f, built) == normal_form(f, again)
