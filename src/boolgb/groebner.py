@@ -9,8 +9,8 @@ can fail to be a basis of the quotient ideal.  One kernel, `_task_terms`,
 builds every task, S-pair or field task, for the engine, the predicates
 and `s_polynomial` alike.  It never forms the lcm terms of an S-pair,
 which cancel mod 2: the S-polynomial of f and g is
-(lcm/lm f)*tail(f) + (lcm/lm g)*tail(g).  Its products go to
-`_reduce_terms` as they are, repeats included, since reduction cancels
+(lcm/lm f)*tail(f) + (lcm/lm g)*tail(g).  Its products go to the
+reduction kernel as they are, repeats included, since reduction cancels
 equal monomials in pairs; only `s_polynomial` sums them mod 2 itself.
 
 Pair selection is the normal strategy (smallest lcm degree, ties broken
@@ -37,7 +37,9 @@ These are exactly the pairs an update would prune at the arrival of
 each t, as no leading monomial, lcm or heap key ever changes; only the
 heap holds pair state.  It never fires on H(n) and stays for other
 inputs: on seeded random systems in 3 or 4 blocks it drops a quarter to
-a third of the queued pairs, each a reduction to zero saved.
+a third of the queued pairs, each a reduction to zero saved.  A popped
+pair's heap key unpacks to lcm_ij, which both the chain check and the
+pair's S-polynomial read, so the pop loop computes no lcm.
 
 Divisibility searches read one support index (after Roune & Stillman,
 ISSAC 2012), the reducer's: one int column per support bit with a bit
@@ -47,6 +49,10 @@ confirms each, as a full-mode support ignores exponents.  Reduction
 always divides the largest reducible monomial by its first divisor in
 basis order (ascending leading monomial, ties in the order given); the
 chain criterion confirms the candidates above j that divide lcm_ij.
+The one reduction kernel, `reduce`, is bound once per reducer, as a
+closure over the order key, the multiply, the reducer's element lists
+and its memo of first divisors; the engine, `interreduce`,
+`normal_form` and `is_groebner_basis` all call it.
 
 Inside the engine a monomial is one packed Python int (Monagan & Pearce,
 CASC 2007), and an element is its packed terms in descending order:
@@ -55,8 +61,9 @@ engine's one working set.  Exponent tuples are packed where polynomials
 enter and unpacked where they leave.  A `GroebnerBasis` is packed once,
 when it is built, into the one reducer that every read of it uses;
 `buchberger` and `interreduce` build theirs from the packed elements
-they hold, unpacking each once and packing nothing again.  A
-`_Packing` fixes the layout for one (nvars, mode, order, width):
+they hold and pack nothing again, and such a basis unpacks its
+`elements` only when they are first read.  A `_Packing` fixes the
+layout for one (nvars, mode, order, width):
 
 - Boolean mode: a monomial is its support bitmask.  Multiply and lcm
   are `|`, the gcd is `&`, a divides b is `a & b == a`.
@@ -83,6 +90,7 @@ they hold, unpacking each once and packing nothing again.  A
 import collections
 import functools
 import heapq
+import itertools
 import json
 import operator
 import struct
@@ -168,6 +176,7 @@ class ReductionStats:
 # packed monomials
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
+_UNBITS = bytes.maketrans(b"01", b"\x00\x01")
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -211,18 +220,22 @@ class _Packing:
         self.fmax = fmax
         self.shifts = shifts
 
-        def unpack(p):
-            return tuple((p >> s) & fmax for s in shifts)
-
         if boolean:
             flip = 0 if deglex else vars_mask
             # one '0'/'1' character per variable, the first one most significant
+            digits = f"0{nvars}b"
             if deglex:
                 def pack(m):
                     return int(bytes(m).translate(_BITS), 2)
+
+                def unpack(p):
+                    return tuple(format(p, digits).encode().translate(_UNBITS))
             else:
                 def pack(m):
                     return int(bytes(m[::-1]).translate(_BITS), 2)
+
+                def unpack(p):
+                    return tuple(format(p, digits).encode().translate(_UNBITS)[::-1])
 
             self.pack = pack
             self.unpack = unpack
@@ -258,6 +271,9 @@ class _Packing:
                 if d > fmax:
                     raise _Overflow(d)
                 return sum(map(operator.lshift, m, shifts)) | (d << dshift)
+
+            def unpack(p):
+                return tuple((p >> s) & fmax for s in shifts)
 
         low = width - 1
         ones = sum(1 << s for s in shifts)
@@ -310,17 +326,19 @@ class _Packing:
         return frozenset(map(self.unpack, terms))
 
 
-def _task_terms(pk, lms, tails, kind, i, j):
+def _task_terms(pk, lms, tails, kind, i, j, lcm=None):
     """Packed terms of one task on elements lms[k] + tails[k], as a list
     whose repeated monomials still have to cancel mod 2.  Kind 0: the
     S-polynomial of elements i and j, qi*tail_i + qj*tail_j, as the two
-    lcm terms cancel.  Kind 1: the Boolean field task v_j*f_i =
-    lm_i + v_j*tail_i, as v_j*lm_i = lm_i; a boolean variable is one bit."""
+    lcm terms cancel; lcm is lcm(lm_i, lm_j) if the caller has it.
+    Kind 1: the Boolean field task v_j*f_i = lm_i + v_j*tail_i, as
+    v_j*lm_i = lm_i; a boolean variable is one bit."""
     mul, ti = pk.mul, tails[i]
     if kind:
         q = 1 << pk.shifts[j]
         return [lms[i]] + [mul(q, t) for t in ti]
-    lcm = pk.lcm(lms[i], lms[j])
+    if lcm is None:
+        lcm = pk.lcm(lms[i], lms[j])
     qi, qj = pk.quo(lcm, lms[i]), pk.quo(lcm, lms[j])
     return [mul(qi, t) for t in ti] + [mul(qj, t) for t in tails[j]]
 
@@ -393,12 +411,13 @@ class GroebnerBasis:
     """A list of basis elements sorted ascending by leading monomial.
 
     Ties keep the order given.  The elements are packed once, when the
-    basis is built, into the reducer that every read of the basis uses;
-    the engine hands its elements over packed.  The `reduced` flag is a
-    cache, never a proof; verification predicates recompute it.
+    basis is built, into the reducer that every read of the basis uses.
+    The engine hands its elements over packed, and such a basis unpacks
+    its `elements` only when they are first read.  The `reduced` flag is
+    a cache, never a proof; verification predicates recompute it.
     """
 
-    __slots__ = ("elements", "order", "mode", "nvars", "n", "reduced", "_reducer")
+    __slots__ = ("_elements", "order", "mode", "nvars", "n", "reduced", "_reducer")
 
     def __init__(self, elements, order: MonomialOrder, reduced: bool = False):
         elements = list(elements)
@@ -416,23 +435,28 @@ class GroebnerBasis:
         """Fill the basis from packed elements, lm first and the tail
         descending, and return it.  They are sorted stably by leading
         monomial and read through one reducer; `elements` takes polys[k]
-        for packed[k], or unpacks each element once if polys is None."""
+        for packed[k], or unpacks the reducer's elements on its first
+        read if polys is None."""
         rank = sorted(range(len(packed)),
                       key=[pk.key(element[0]) for element in packed].__getitem__)
-        packed = [packed[k] for k in rank]
-        nvars, mode = len(pk.shifts), BOOLEAN if pk.boolean else FULL
-        if polys is None:
-            self.elements = tuple(Polynomial(pk.unpack_terms(element), nvars, mode)
-                                  for element in packed)
-        else:
-            self.elements = tuple(polys[k] for k in rank)
-        self._reducer = _Reducer(pk, packed)
+        self._elements = None if polys is None else tuple(polys[k] for k in rank)
+        self._reducer = _Reducer(pk, [packed[k] for k in rank])
         self.order = order
-        self.mode = mode
-        self.nvars = nvars
-        self.n = nvars // 3
+        self.mode = BOOLEAN if pk.boolean else FULL
+        self.nvars = len(pk.shifts)
+        self.n = self.nvars // 3
         self.reduced = reduced
         return self
+
+    @property
+    def elements(self):
+        """The elements as polynomials, in basis order."""
+        if self._elements is None:
+            red = self._reducer
+            unpack_terms, nvars, mode = red.pk.unpack_terms, self.nvars, self.mode
+            self._elements = tuple(Polynomial(unpack_terms((lm, *tail)), nvars, mode)
+                                   for lm, tail in zip(red.lms, red.tails))
+        return self._elements
 
     def leading_monomials(self):
         return [self._reducer.pk.unpack(lm) for lm in self._reducer.lms]
@@ -441,13 +465,13 @@ class GroebnerBasis:
         return frozenset(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._reducer.lms)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __repr__(self):
-        return (f"GroebnerBasis({len(self.elements)} elements, n={self.n}, "
+        return (f"GroebnerBasis({len(self)} elements, n={self.n}, "
                 f"mode={self.mode!r}, order={self.order.scheme}, reduced={self.reduced})")
 
 
@@ -457,16 +481,22 @@ class GroebnerBasis:
 class _Reducer:
     """Packed elements lms[i] + tails[i], with their leading monomials
     bit-sliced by support: columns maps each support bit (as a one-bit
-    int) to the elements whose lm has it, bit i for element i."""
+    int) to the elements whose lm has it, bit i for element i.
 
-    __slots__ = ("pk", "lms", "tails", "columns", "hits")
+    Its kernels candidates, find_divisor and reduce are closures bound
+    once per reducer.  They hold its lists, which only grow in place, and
+    no reference to the reducer itself, so a dropped reducer is freed at
+    once rather than by the cycle collector.
+    """
+
+    __slots__ = ("pk", "lms", "tails", "columns", "candidates", "find_divisor", "reduce")
 
     def __init__(self, pk, elements=()):
         self.pk = pk
         self.lms = []
         self.tails = []
         self.columns = collections.defaultdict(int)
-        self.hits = {}  # monomial -> index of first divisor (stable: appends only)
+        self._bind()
         self.extend(elements)
 
     def extend(self, elements):
@@ -480,71 +510,78 @@ class _Reducer:
         first = len(self.lms)
         for bit, column in local.items():
             self.columns[bit] |= column << first
+        # in place, as the kernels hold the lists
         self.lms += [element[0] for element in elements]
         self.tails += [tuple(element[1:]) for element in elements]
 
-    def candidates(self, m):
-        """The elements whose lm may divide m, as a bit set: those in no
-        column of a variable that m lacks.  `divides` confirms each, as a
-        full-mode support ignores exponents."""
-        lacked = ~self.pk.support(m)
-        outside = 0
-        for bit, column in self.columns.items():
-            if bit & lacked:
-                outside |= column
-        return ((1 << len(self.lms)) - 1) ^ outside
+    def _bind(self):
+        pk, lms, tails, columns = self.pk, self.lms, self.tails, self.columns
+        support, divides = pk.support, pk.divides
+        key, unkey, quo = pk.key, pk.unkey, pk.quo
+        # a full-mode product cannot overflow here: see the module docstring
+        mul = pk.mul if pk.boolean else int.__add__
+        heapify, heappush, heappop = heapq.heapify, heapq.heappush, heapq.heappop
+        hits = {}  # monomial -> index of first divisor (stable: appends only)
+        hit = hits.get
 
-    def find_divisor(self, m):
-        """Index of the first leading monomial dividing m, or -1."""
-        idx = self.hits.get(m)
-        if idx is not None:
-            return idx
-        divides, lms = self.pk.divides, self.lms
-        candidates = self.candidates(m)
-        while candidates:
-            low = candidates & -candidates
-            idx = low.bit_length() - 1
-            if divides(lms[idx], m):
-                self.hits[m] = idx
+        def candidates(m):
+            """The elements whose lm may divide m, as a bit set: those in no
+            column of a variable that m lacks.  `divides` confirms each, as
+            a full-mode support ignores exponents."""
+            lacked = ~support(m)
+            outside = 0
+            for bit, column in columns.items():
+                if bit & lacked:
+                    outside |= column
+            return ((1 << len(lms)) - 1) ^ outside
+
+        def find_divisor(m):
+            """Index of the first leading monomial dividing m, or -1."""
+            idx = hit(m)
+            if idx is not None:
                 return idx
-            candidates ^= low
-        return -1
+            found = candidates(m)
+            while found:
+                low = found & -found
+                idx = low.bit_length() - 1
+                if divides(lms[idx], m):
+                    hits[m] = idx
+                    return idx
+                found ^= low
+            return -1
 
+        def reduce(terms):
+            """The full normal form of packed terms, descending.
 
-def _reduce_terms(terms, red: _Reducer):
-    """Full normal form of packed terms against the reducers, descending.
+            Takes monomials largest-first from a heap of negated keys;
+            every replacement monomial is strictly smaller than the one it
+            replaces, so a single descending pass is complete.  Duplicate
+            heap entries cancel in pairs (coefficients are mod 2).
+            """
+            heap = [-key(m) for m in terms]
+            heapify(heap)
+            out = []
+            while heap:
+                k = heappop(heap)
+                count = 1
+                while heap and heap[0] == k:
+                    heappop(heap)
+                    count += 1
+                if not count & 1:
+                    continue
+                m = unkey(-k)
+                i = hit(m)  # the memo inline: only a miss pays a call
+                if i is None:
+                    i = find_divisor(m)
+                    if i < 0:
+                        out.append(m)
+                        continue
+                q = quo(m, lms[i])
+                for t in tails[i]:
+                    heappush(heap, -key(mul(q, t)))
+            return out
 
-    Processes monomials largest-first via a heap of negated keys; every
-    replacement monomial is strictly smaller than the one it replaces,
-    so a single descending pass is complete.  Duplicate heap entries
-    cancel in pairs (coefficients are mod 2).
-    """
-    pk = red.pk
-    key, unkey, mul, quo = pk.key, pk.unkey, pk.mul, pk.quo
-    if not pk.boolean:
-        mul = int.__add__  # cannot overflow: see the module docstring
-    lms, tails, find = red.lms, red.tails, red.find_divisor
-    heappush, heappop = heapq.heappush, heapq.heappop
-    heap = [-key(m) for m in terms]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        k = heappop(heap)
-        count = 1
-        while heap and heap[0] == k:
-            heappop(heap)
-            count += 1
-        if not count & 1:
-            continue
-        m = unkey(-k)
-        i = find(m)
-        if i < 0:
-            out.append(m)
-            continue
-        q = quo(m, lms[i])
-        for t in tails[i]:
-            heappush(heap, -key(mul(q, t)))
-    return out
+        self.candidates, self.find_divisor, self.reduce = candidates, find_divisor, reduce
 
 
 def _as_basis(G, order):
@@ -580,8 +617,7 @@ def normal_form(f: Polynomial, G, order: MonomialOrder = DEGLEX) -> Polynomial:
         pk = _Packing(f.nvars, f.mode, G.order, f.degree())
         red = _Reducer(pk, [pk.pack_element(g.terms) for g in G.elements])
         terms = pk.pack_element(f.terms)
-    r = _reduce_terms(terms, red)
-    return Polynomial(pk.unpack_terms(r), f.nvars, f.mode)
+    return Polynomial(pk.unpack_terms(red.reduce(terms)), f.nvars, f.mode)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGLEX) -> Polynomial:
@@ -623,7 +659,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     stats = ReductionStats()
 
     red = _Reducer(pk)  # the working elements, lm first
-    lms, tails = red.lms, red.tails
+    lms, tails, reduce = red.lms, red.tails, red.reduce
     gcds = []         # the gcd of each working element's tail, None for a monomial
     nonmono = []      # indices of the working elements that are not monomials
     heap = []         # (lcm key, kind, i, j): pairs, and field tasks of kind 1
@@ -641,47 +677,43 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         gcds.append(gcdf)
 
         stats.pairs_generated += t
-        pruned = 0
         # a monomial pairs only with non-monomials: the S-polynomial of two
         # monomials is zero, so such a pair counts as processed unformed
         partners = nonmono if monomial else range(t)
         stats.pairs_monomial += t - len(partners)
         # group candidate pairs by lcm, keep one representative per minimal lcm
         groups = {}
-        for i in partners:
-            groups.setdefault(lcm(lms[i], lmf), []).append(i)
+        lcms = map(lcm, map(lms.__getitem__, partners), itertools.repeat(lmf))
+        for i, lcm_f in zip(partners, lcms):
+            groups.setdefault(lcm_f, []).append(i)
         # groups come by key, so by degree, and two distinct lcms of one
-        # degree never divide each other: scan only the lower degrees
-        minimal = []  # minimal lcms of lower degree than lcm_f
-        level = []    # minimal lcms of the degree of lcm_f
-        d = -1
-        for lcm_f in sorted(groups, key=key):
-            if degree(lcm_f) != d:
-                d = degree(lcm_f)
-                minimal += level
-                level = []
-            members = groups[lcm_f]  # ascending indices
-            if any_divides(minimal, lcm_f):
-                pruned += len(members)
-                continue
-            level.append(lcm_f)
-            # a pair known to reduce to zero drops its group: the monomial
-            # criterion, or for two non-monomials the product criterion
-            # (coprime leading monomials: the lcm is their product)
-            if monomial:
-                zero = any(_monomial_pair_is_zero(pk, lmf, lms[i], gcds[i], lcm_f)
-                           for i in members)
-            else:
-                zero = any(_monomial_pair_is_zero(pk, lms[i], lmf, gcdf, lcm_f)
-                           if not tails[i] else quo(lcm_f, lmf) == lms[i]
-                           for i in members)
-            if zero:
-                pruned += len(members)
-            else:
-                heapq.heappush(heap, (key(lcm_f), 0, members[0], t))
-                stats.pairs_queued += 1
-                pruned += len(members) - 1
-        stats.pairs_skipped_by_criteria += pruned
+        # degree never divide each other: a level is checked against the
+        # minimal lcms of lower degree only, then its survivors join them
+        minimal = []
+        queued = 0
+        for _, level in itertools.groupby(sorted(groups, key=key), degree):
+            if minimal:
+                level = itertools.filterfalse(
+                    functools.partial(any_divides, minimal), level)
+            level = list(level)
+            minimal += level
+            for lcm_f in level:
+                members = groups[lcm_f]  # ascending indices
+                # a pair known to reduce to zero drops its group: the monomial
+                # criterion, or for two non-monomials the product criterion
+                # (coprime leading monomials: the lcm is their product)
+                for i in members:
+                    if (_monomial_pair_is_zero(pk, lmf, lms[i], gcds[i], lcm_f)
+                            if monomial
+                            else quo(lcm_f, lmf) == lms[i] if tails[i]
+                            else _monomial_pair_is_zero(pk, lms[i], lmf, gcdf, lcm_f)):
+                        break
+                else:
+                    heapq.heappush(heap, (key(lcm_f), 0, members[0], t))
+                    queued += 1
+        # a group queues at most one pair; every other partner is pruned
+        stats.pairs_queued += queued
+        stats.pairs_skipped_by_criteria += len(partners) - queued
 
         if pk.boolean:
             support_vars = _support_vars(pk, lmf)
@@ -714,10 +746,11 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
 
     while heap:
         k, kind, i, j = heapq.heappop(heap)
-        if kind == 0 and chain(i, j, unkey(k)):
+        lcm_ij = unkey(k)  # of a field task: lm_i, which it does not read
+        if kind == 0 and chain(i, j, lcm_ij):
             stats.pairs_chain_pruned += 1
             continue
-        r = _reduce_terms(_task_terms(pk, lms, tails, kind, i, j), red)
+        r = reduce(_task_terms(pk, lms, tails, kind, i, j, lcm_ij))
         if r:
             update(r)
         else:
@@ -744,17 +777,19 @@ def interreduce(G: GroebnerBasis, strict: bool = False) -> GroebnerBasis:
     (NotAGroebnerBasisError otherwise).
     """
     red = G._reducer
+    lms, tails = red.lms, red.tails
     kept, removed = [], []
     # in basis order an lm is redundant exactly when its first divisor is not itself
-    for i, (f, lm, tail) in enumerate(zip(G.elements, red.lms, red.tails)):
+    for i, lm in enumerate(lms):
         if red.find_divisor(lm) != i:
-            removed.append(f)
+            removed.append(i)
         else:
-            kept.append([lm, *_reduce_terms(tail, red)])
+            kept.append([lm, *red.reduce(tails[i])])
     result = GroebnerBasis.__new__(GroebnerBasis)._build(red.pk, kept, G.order, reduced=True)
     if strict:
-        for f in removed:
-            if not normal_form(f, result).is_zero:
+        # the result has G's packing: a discarded element reduces as it is
+        for i in removed:
+            if result._reducer.reduce([lms[i], *tails[i]]):
                 raise NotAGroebnerBasisError(
                     "discarded element does not reduce to zero; "
                     "input was not a Groebner basis")
@@ -777,21 +812,21 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
     if basis is None:
         return True
     red = basis._reducer
-    pk, lms, tails = red.pk, red.lms, red.tails
+    pk, lms, tails, reduce = red.pk, red.lms, red.tails, red.reduce
     masks = [pk.support(lm) for lm in lms]
     nonmono = []  # the non-monomials among elements 0..j-1
     for j, tail in enumerate(tails):
         for i in (nonmono if not tail else range(j)):
             if use_criteria and masks[i] & masks[j] == 0:
                 continue  # product criterion: provably reduces to zero
-            if _reduce_terms(_task_terms(pk, lms, tails, 0, i, j), red):
+            if reduce(_task_terms(pk, lms, tails, 0, i, j)):
                 return False
         if not tail:
             continue
         nonmono.append(j)
         if pk.boolean:
             for v in _support_vars(pk, lms[j]):
-                if _reduce_terms(_task_terms(pk, lms, tails, 1, j, v), red):
+                if reduce(_task_terms(pk, lms, tails, 1, j, v)):
                     return False
     return True
 

@@ -28,13 +28,15 @@ from boolgb import (
     make_G,
     make_H,
     make_S,
+    mono_divides,
+    mono_mul,
     normal_form,
     parse_poly,
     poly_zero,
     s_polynomial,
     to_full,
 )
-from test_packing import CASES, chain_systems
+from test_packing import CASES, chain_systems, random_monomials
 from test_polyring import random_poly
 
 
@@ -122,6 +124,54 @@ def test_nf_first_divisor_in_basis_order():
     # reducers are tried by ascending leading monomial, so x1 + 1 divides
     # x1*y1 first although it is listed second
     assert normal_form(P("x1*y1"), [P("x1*y1+z1"), P("x1+1")], DEGLEX) == P("y1")
+
+
+def reference_division(f, G, order):
+    """Remainder of f by exponent tuples: take the largest monomial left,
+    divide it by the first element of G, sorted stably by ascending
+    leading monomial, whose leading monomial divides it, and add the
+    products of that element's tail mod 2.  Also returns the number of
+    steps where more than one element divided the monomial."""
+    basis = sorted(G, key=lambda g: order.key(leading_monomial(g, order)))
+    lms = [leading_monomial(g, order) for g in basis]
+    left, rest, choices = set(f.terms), set(), 0
+    while left:
+        m = max(left, key=order.key)
+        left.remove(m)
+        divisors = [k for k, lm in enumerate(lms) if mono_divides(lm, m)]
+        if not divisors:
+            rest.add(m)
+            continue
+        choices += len(divisors) > 1
+        g, lm = basis[divisors[0]], lms[divisors[0]]
+        q = tuple(a - b for a, b in zip(m, lm))
+        for t in g.terms - {lm}:
+            left ^= {mono_mul(q, t, f.mode)}
+    return Polynomial(rest, f.nvars, f.mode), choices
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_nf_matches_reference_division_on_non_groebner_lists(mode, order):
+    # lists drawn from a small pool of monomials, so that leading monomials
+    # tie and products repeat; on a list that is not a Groebner basis the
+    # remainder depends on which divisor each step takes
+    rng = random.Random(61)
+    nvars = 6
+    ties = choices = non_groebner = 0
+    for _ in range(150):
+        pool = random_monomials(rng, nvars, mode, 6, max_exp=2)
+        G = [Polynomial(set(rng.sample(pool, rng.randint(1, 3))), nvars, mode)
+             for _ in range(rng.randint(2, 5))]
+        lms = [leading_monomial(g, order) for g in G]
+        ties += len(set(lms)) < len(lms)
+        non_groebner += not is_groebner_basis(G, order)
+        for _ in range(4):
+            f = Polynomial({mono_mul(*rng.sample(pool, 2), mode) for _ in range(4)}
+                           | set(rng.sample(pool, 2)), nvars, mode)
+            expected, steps = reference_division(f, G, order)
+            assert normal_form(f, G, order) == expected
+            choices += steps
+    assert ties > 60 and non_groebner > 100 and choices > 800
 
 
 # ---------------------------------------------------------------------------
