@@ -35,11 +35,25 @@ element t > j, so added since the pair was queued, has lm_t | lcm_ij
 while lcm(lm_i, lm_t) and lcm(lm_j, lm_t) both differ from lcm_ij.
 These are exactly the pairs an update would prune at the arrival of
 each t, as no leading monomial, lcm or heap key ever changes; only the
-heap holds pair state.  It never fires on H(n) and stays for other
-inputs: on seeded random systems in 3 or 4 blocks it drops a quarter to
-a third of the queued pairs, each a reduction to zero saved.  A popped
-pair's heap key unpacks to lcm_ij, which both the chain check and the
-pair's S-polynomial read, so the pop loop computes no lcm.
+heap holds pair state.  On seeded random systems in 3 or 4 blocks that
+query drops a quarter to a third of the queued pairs; on H(n) it never
+fires.  Two cheaper steps go before it:
+
+- The look-back drop.  When j is a monomial, the S-polynomial of (i, j)
+  is (lcm/lm_i)*tail_i, fixed by i and the heap key.  A popped pair of
+  that kind with the same key and i as the last one is dropped and
+  counted as chain-pruned.  It is Buchberger's chain criterion (EUROSAM
+  1979) for pairs already treated, with that earlier monomial j' in the
+  middle: lm_j' divides the lcm, (i, j') was just treated and (j', j)
+  is a pair of monomials.  It drops n*3^(n-1) pairs of H(n), n >= 3.
+- The one-term check.  A task whose terms are one monomial, and whose
+  first divisor is a monomial element, reduces to zero in one step, so
+  it counts as a reduction to zero with no chain query.
+
+Neither step adds or drops an element, so every basis is the same as
+with the chain query alone.  A popped pair's heap key unpacks to
+lcm_ij, which both the chain check and the pair's S-polynomial read, so
+the pop loop computes no lcm.
 
 Divisibility searches read one support index (after Roune & Stillman,
 ISSAC 2012), the reducer's: one int column per support bit with a bit
@@ -143,8 +157,11 @@ class ReductionStats:
     Every generated candidate (ordinary pair or Boolean field task) is
     either queued, skipped by a criterion, or never formed because it is
     a pair of two monomials or a field task of a monomial (pairs_monomial).
-    A queued pair the chain criterion drops when it pops counts in
-    pairs_chain_pruned as well; every other queued task is reduced.
+    A queued pair dropped as it pops counts in pairs_chain_pruned as
+    well: by the chain query, or by the look-back drop, as it repeats the
+    S-polynomial of the pair popped before it.  Every other queued task
+    is reduced; one of a single term whose first divisor is a monomial
+    counts as a reduction to zero with no chain query.
     """
 
     def __init__(self):
@@ -659,7 +676,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     stats = ReductionStats()
 
     red = _Reducer(pk)  # the working elements, lm first
-    lms, tails, reduce = red.lms, red.tails, red.reduce
+    lms, tails, reduce, find_divisor = red.lms, red.tails, red.reduce, red.find_divisor
     gcds = []         # the gcd of each working element's tail, None for a monomial
     nonmono = []      # indices of the working elements that are not monomials
     heap = []         # (lcm key, kind, i, j): pairs, and field tasks of kind 1
@@ -734,23 +751,41 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         """The chain criterion on the pair (i, j) as it pops: some element
         t > j, so added since the pair was queued, has lm_t | lcm_ij while
         lcm(lm_i, lm_t) and lcm(lm_j, lm_t) both differ from lcm_ij."""
-        for b in _bits(red.candidates(lcm_ij) >> j + 1):
-            lmt = lms[j + 1 + b]
+        found = red.candidates(lcm_ij) >> j + 1
+        while found:
+            low = found & -found
+            lmt = lms[j + low.bit_length()]
             if (divides(lmt, lcm_ij) and lcm(lms[i], lmt) != lcm_ij
                     and lcm(lms[j], lmt) != lcm_ij):
                 return True
+            found ^= low
         return False
 
     for f in F.polynomials:
         update(pk.pack_element(f.terms))
 
+    last = None  # (key, i) of the last popped pair (i, j) with j a monomial
     while heap:
         k, kind, i, j = heapq.heappop(heap)
+        if kind == 0 and not tails[j]:
+            # its S-polynomial (lcm/lm_i)*tail_i is that of the last such
+            # pair if it has the same lcm and i: the look-back drop
+            if last == (k, i):
+                stats.pairs_chain_pruned += 1
+                continue
+            last = k, i
         lcm_ij = unkey(k)  # of a field task: lm_i, which it does not read
+        terms = _task_terms(pk, lms, tails, kind, i, j, lcm_ij)
+        if len(terms) == 1:
+            # a monomial first divisor takes one term to zero in one step
+            d = find_divisor(terms[0])
+            if d >= 0 and not tails[d]:
+                stats.reductions_to_zero += 1
+                continue
         if kind == 0 and chain(i, j, lcm_ij):
             stats.pairs_chain_pruned += 1
             continue
-        r = reduce(_task_terms(pk, lms, tails, kind, i, j, lcm_ij))
+        r = reduce(terms)
         if r:
             update(r)
         else:
