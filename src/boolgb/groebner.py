@@ -26,9 +26,20 @@ divides the gcd of f's tail (computed once, when f enters), since then
 m divides every monomial of it.  It is the product criterion's
 generalization (g = 1) and acts exactly like it: a group of pairs with
 one lcm is dropped when one member meets either criterion, and its lcm
-still prunes the larger lcms of the same update.  That scan is one
-kernel call per lcm, over the minimal lcms of lower degree only, as two
-distinct monomials of one degree never divide each other.
+still prunes the larger lcms of the same update.
+
+An update reads each partner's lcm by its excess e = lcm/lm_f over the
+new leading monomial, as lcm_a | lcm_b exactly when e_a | e_b.  If some
+e is 1 (a partner's lm divides lm_f), that lcm is the only minimal one.
+Otherwise an excess of degree 1 is one variable, which no other excess
+properly divides and which divides exactly the excesses that contain
+it: those variables are minimal, and one AND with the mask of their
+exponent fields prunes every excess that contains one.  Only the few
+left (594 of 26,868 lcms on full deglex H(6)) are checked among
+themselves, a level against the minimal ones of lower degree, as two
+distinct monomials of one degree never divide each other.  The criteria
+read the same excess: lm_i/e is the gcd of lm_i and lm_f, and e = lm_i
+means coprime leading monomials.
 
 The chain criterion drops a queued pair (i, j) as it pops when some
 element t > j, so added since the pair was queued, has lm_t | lcm_ij
@@ -48,7 +59,9 @@ fires.  Two cheaper steps go before it:
   is a pair of monomials.  It drops n*3^(n-1) pairs of H(n), n >= 3.
 - The one-term check.  A task whose terms are one monomial, and whose
   first divisor is a monomial element, reduces to zero in one step, so
-  it counts as a reduction to zero with no chain query.
+  it counts as a reduction to zero with no chain query.  A one-term
+  task with no divisor is its own normal form, so after the chain query
+  it enters the basis without a reduction.
 
 Neither step adds or drops an element, so every basis is the same as
 with the chain query alone.  A popped pair's heap key unpacks to
@@ -360,15 +373,16 @@ def _task_terms(pk, lms, tails, kind, i, j, lcm=None):
     return [mul(qi, t) for t in ti] + [mul(qj, t) for t in tails[j]]
 
 
-def _monomial_pair_is_zero(pk, m, lm, tail_gcd, lcm):
-    """True when the S-pair of the monomial m and an element with leading
-    monomial lm (lcm = lcm(m, lm)) reduces to zero by m.
+def _monomial_pair_is_zero(pk, lm, e, tail_gcd):
+    """True when the S-pair of a monomial m and an element f reduces to
+    zero by m.  lm is the leading monomial of either one and e the excess
+    of their lcm over the other's, so lm/e is g = gcd(m, lm f).
 
-    Its S-polynomial is (m/g)*tail with g = gcd(m, lm) (m & ~lm in the
-    Boolean ring); when g divides tail_gcd, the gcd of the tail, each of
-    its monomials is a multiple of m.  g = 1 is the product criterion.
+    Its S-polynomial is (m/g)*tail(f); when g divides tail_gcd, the gcd
+    of that tail, each of its monomials is a multiple of m.  g = 1 is the
+    product criterion.
     """
-    return pk.divides(pk.quo(lm, pk.quo(lcm, m)), tail_gcd)
+    return pk.divides(pk.quo(lm, e), tail_gcd)
 
 
 def _bits(m):
@@ -518,13 +532,21 @@ class _Reducer:
 
     def extend(self, elements):
         """Append elements given lm first, the tail descending."""
+        first = len(self.lms)
+        if len(elements) == 1:
+            # the engine adds its elements one at a time
+            (lm, *tail), = elements
+            for b in _bits(self.pk.support(lm)):
+                self.columns[1 << b] |= 1 << first
+            self.lms.append(lm)
+            self.tails.append(tuple(tail))
+            return
         # columns of this batch alone, numbered from 0, so that each long
         # column is copied once per batch instead of once per element
         local = collections.defaultdict(int)
         for k, element in enumerate(elements):
             for b in _bits(self.pk.support(element[0])):
                 local[1 << b] |= 1 << k
-        first = len(self.lms)
         for bit, column in local.items():
             self.columns[bit] |= column << first
         # in place, as the kernels hold the lists
@@ -672,7 +694,11 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
 
 def _buchberger(F, pk, max_pairs, max_basis, t0):
     key, unkey, degree, lcm, quo = pk.key, pk.unkey, pk.degree, pk.lcm, pk.quo
-    divides, any_divides = pk.divides, pk.any_divides
+    divides, any_divides, mul = pk.divides, pk.any_divides, pk.mul
+    # each packed variable, a monomial of degree 1, and the bits of its field
+    nvars = len(pk.shifts)
+    fields = {pk.pack((0,) * v + (1,) + (0,) * (nvars - 1 - v)): pk.fmax << s
+              for v, s in enumerate(pk.shifts)}
     stats = ReductionStats()
 
     red = _Reducer(pk)  # the working elements, lm first
@@ -698,36 +724,39 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         # monomials is zero, so such a pair counts as processed unformed
         partners = nonmono if monomial else range(t)
         stats.pairs_monomial += t - len(partners)
-        # group candidate pairs by lcm, keep one representative per minimal lcm
+        # group candidate pairs by the excess e = lcm/lm_f of their lcm
         groups = {}
         lcms = map(lcm, map(lms.__getitem__, partners), itertools.repeat(lmf))
-        for i, lcm_f in zip(partners, lcms):
-            groups.setdefault(lcm_f, []).append(i)
-        # groups come by key, so by degree, and two distinct lcms of one
-        # degree never divide each other: a level is checked against the
-        # minimal lcms of lower degree only, then its survivors join them
-        minimal = []
+        for i, e in zip(partners, map(quo, lcms, itertools.repeat(lmf))):
+            groups.setdefault(e, []).append(i)
+        # one representative per minimal lcm, found by excess (see the
+        # module docstring): the variables among the excesses are minimal,
+        # the mask of their fields prunes every excess that contains one,
+        # and the rest are checked level by level among themselves
+        if 0 in groups:  # the packed 1: lm_i | lm_f
+            minimal = [0]
+        else:
+            minimal = list(groups.keys() & fields.keys())
+            ones = functools.reduce(operator.or_, map(fields.get, minimal), 0)
+            rest = sorted(itertools.filterfalse(ones.__and__, groups), key=key)
+            others = []
+            for _, level in itertools.groupby(rest, degree):
+                others += [e for e in level if not any_divides(others, e)]
+            minimal += others
         queued = 0
-        for _, level in itertools.groupby(sorted(groups, key=key), degree):
-            if minimal:
-                level = itertools.filterfalse(
-                    functools.partial(any_divides, minimal), level)
-            level = list(level)
-            minimal += level
-            for lcm_f in level:
-                members = groups[lcm_f]  # ascending indices
-                # a pair known to reduce to zero drops its group: the monomial
-                # criterion, or for two non-monomials the product criterion
-                # (coprime leading monomials: the lcm is their product)
-                for i in members:
-                    if (_monomial_pair_is_zero(pk, lmf, lms[i], gcds[i], lcm_f)
-                            if monomial
-                            else quo(lcm_f, lmf) == lms[i] if tails[i]
-                            else _monomial_pair_is_zero(pk, lms[i], lmf, gcdf, lcm_f)):
-                        break
-                else:
-                    heapq.heappush(heap, (key(lcm_f), 0, members[0], t))
-                    queued += 1
+        for e in minimal:
+            members = groups[e]  # ascending indices
+            # a pair known to reduce to zero drops its group: the monomial
+            # criterion, or for two non-monomials the product criterion
+            # (coprime leading monomials: the excess is lm_i)
+            for i in members:
+                if (e == lms[i] if tails[i] and tailf
+                        else _monomial_pair_is_zero(
+                            pk, lms[i], e, gcds[i] if monomial else gcdf)):
+                    break
+            else:
+                heapq.heappush(heap, (key(mul(lmf, e)), 0, members[0], t))
+                queued += 1
         # a group queues at most one pair; every other partner is pruned
         stats.pairs_queued += queued
         stats.pairs_skipped_by_criteria += len(partners) - queued
@@ -776,16 +805,21 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             last = k, i
         lcm_ij = unkey(k)  # of a field task: lm_i, which it does not read
         terms = _task_terms(pk, lms, tails, kind, i, j, lcm_ij)
+        r = None
         if len(terms) == 1:
-            # a monomial first divisor takes one term to zero in one step
+            # a monomial first divisor takes one term to zero in one step,
+            # and a term with no divisor is its own normal form
             d = find_divisor(terms[0])
-            if d >= 0 and not tails[d]:
+            if d < 0:
+                r = terms
+            elif not tails[d]:
                 stats.reductions_to_zero += 1
                 continue
         if kind == 0 and chain(i, j, lcm_ij):
             stats.pairs_chain_pruned += 1
             continue
-        r = reduce(terms)
+        if r is None:
+            r = reduce(terms)
         if r:
             update(r)
         else:
