@@ -129,8 +129,9 @@ def _with_field_polys(F: GeneratorSet) -> GeneratorSet:
 
 
 def _boolean_as_full(basis, n, order):
-    """Lift a boolean basis, adjoin field polynomials, interreduce in full mode."""
-    lifted = [to_full(f) for f in basis.elements] + list(construction.make_S(n))
+    """Lift a boolean basis, adjoin field polynomials, interreduce in full
+    mode; the basis () of the zero ideal lifts to that of S(n)."""
+    lifted = [to_full(f) for f in basis] + list(construction.make_S(n))
     return interreduce(groebner.GroebnerBasis(lifted, order))
 
 
@@ -141,7 +142,8 @@ def _reduced_basis(F: GeneratorSet, engine: str, caps: Caps):
     field polynomials); 'boolean' returns the Boolean-mode basis of the
     image of F in the quotient; 'both' returns the full basis of F plus
     the field polynomials and raises EngineDisagreementError unless the
-    lifted Boolean basis equals it.
+    lifted Boolean basis equals it (if every generator vanishes in the
+    quotient, the Boolean basis is empty and lifts to that of S(n)).
     """
     def run(E):
         raw, stats = buchberger(E, max_pairs=caps.pairs, max_basis=caps.basis)
@@ -152,7 +154,10 @@ def _reduced_basis(F: GeneratorSet, engine: str, caps: Caps):
     if engine == "full":
         return run(F if F.mode == FULL else _with_field_polys(F))
     basis, stats = run(_with_field_polys(F))
-    bool_basis, _ = run(_boolean_input(F))
+    try:
+        bool_basis, _ = run(_boolean_input(F))
+    except VanishingInputError:
+        bool_basis = ()  # F lies in the ideal of S(n)
     if _boolean_as_full(bool_basis, F.n, F.order).as_set() != basis.as_set():
         raise EngineDisagreementError(f"full and boolean engines disagree at n={F.n}")
     return basis, stats

@@ -70,12 +70,13 @@ the pop loop computes no lcm.
 
 Divisibility searches read one support index (after Roune & Stillman,
 ISSAC 2012), the reducer's: one int column per support bit with a bit
-per element whose leading monomial has that variable.  The divisors of
-m are among the elements in no column of a variable m lacks; `divides`
+per element whose leading monomial has that variable.  `extend` writes
+it and one walk, `divisors(m, above)`, reads it: the divisors of m are
+among the elements in no column of a variable m lacks, and `divides`
 confirms each, as a full-mode support ignores exponents.  Reduction
 always divides the largest reducible monomial by its first divisor in
 basis order (ascending leading monomial, ties in the order given); the
-chain criterion confirms the candidates above j that divide lcm_ij.
+chain criterion reads the divisors of lcm_ij above j.
 The one reduction kernel, `reduce`, is bound once per reducer, as a
 closure over the order key, the multiply, the reducer's element lists
 and its memo of first divisors; the engine, `interreduce`,
@@ -385,17 +386,6 @@ def _monomial_pair_is_zero(pk, lm, e, tail_gcd):
     return pk.divides(pk.quo(lm, e), tail_gcd)
 
 
-def _bits(m):
-    """Positions of the set bits of a nonnegative int, ascending."""
-    digits = bin(m)[:1:-1]  # least significant bit first
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return out
-
-
 def _support_vars(pk, m):
     """Flat indices of the variables of a packed boolean monomial."""
     return [v for v, s in enumerate(pk.shifts) if m >> s & 1]
@@ -512,15 +502,16 @@ class GroebnerBasis:
 class _Reducer:
     """Packed elements lms[i] + tails[i], with their leading monomials
     bit-sliced by support: columns maps each support bit (as a one-bit
-    int) to the elements whose lm has it, bit i for element i.
+    int) to the elements whose lm has it, bit i for element i.  `extend`
+    is the one writer of the columns and `divisors` their one reader.
 
-    Its kernels candidates, find_divisor and reduce are closures bound
-    once per reducer.  They hold its lists, which only grow in place, and
-    no reference to the reducer itself, so a dropped reducer is freed at
+    Its kernels divisors, find_divisor and reduce are closures bound once
+    per reducer.  They hold its lists, which only grow in place, and no
+    reference to the reducer itself, so a dropped reducer is freed at
     once rather than by the cycle collector.
     """
 
-    __slots__ = ("pk", "lms", "tails", "columns", "candidates", "find_divisor", "reduce")
+    __slots__ = ("pk", "lms", "tails", "columns", "divisors", "find_divisor", "reduce")
 
     def __init__(self, pk, elements=()):
         self.pk = pk
@@ -532,26 +523,17 @@ class _Reducer:
 
     def extend(self, elements):
         """Append elements given lm first, the tail descending."""
-        first = len(self.lms)
-        if len(elements) == 1:
-            # the engine adds its elements one at a time
-            (lm, *tail), = elements
-            for b in _bits(self.pk.support(lm)):
-                self.columns[1 << b] |= 1 << first
-            self.lms.append(lm)
+        lms, columns, support = self.lms, self.columns, self.pk.support
+        for lm, *tail in elements:
+            bit = 1 << len(lms)
+            s = support(lm)
+            while s:
+                low = s & -s
+                columns[low] |= bit
+                s ^= low
+            # in place, as the kernels hold the lists
+            lms.append(lm)
             self.tails.append(tuple(tail))
-            return
-        # columns of this batch alone, numbered from 0, so that each long
-        # column is copied once per batch instead of once per element
-        local = collections.defaultdict(int)
-        for k, element in enumerate(elements):
-            for b in _bits(self.pk.support(element[0])):
-                local[1 << b] |= 1 << k
-        for bit, column in local.items():
-            self.columns[bit] |= column << first
-        # in place, as the kernels hold the lists
-        self.lms += [element[0] for element in elements]
-        self.tails += [tuple(element[1:]) for element in elements]
 
     def _bind(self):
         pk, lms, tails, columns = self.pk, self.lms, self.tails, self.columns
@@ -563,31 +545,32 @@ class _Reducer:
         hits = {}  # monomial -> index of first divisor (stable: appends only)
         hit = hits.get
 
-        def candidates(m):
-            """The elements whose lm may divide m, as a bit set: those in no
-            column of a variable that m lacks.  `divides` confirms each, as
-            a full-mode support ignores exponents."""
+        def divisors(m, above=-1):
+            """The indices above `above` of the leading monomials dividing
+            m, ascending.  The candidates are the elements in no column of
+            a variable that m lacks; `divides` confirms each, as a
+            full-mode support ignores exponents."""
             lacked = ~support(m)
             outside = 0
             for bit, column in columns.items():
                 if bit & lacked:
                     outside |= column
-            return ((1 << len(lms)) - 1) ^ outside
+            found = (((1 << len(lms)) - 1) ^ outside) >> above + 1
+            while found:
+                low = found & -found
+                idx = above + low.bit_length()
+                if divides(lms[idx], m):
+                    yield idx
+                found ^= low
 
         def find_divisor(m):
             """Index of the first leading monomial dividing m, or -1."""
             idx = hit(m)
-            if idx is not None:
-                return idx
-            found = candidates(m)
-            while found:
-                low = found & -found
-                idx = low.bit_length() - 1
-                if divides(lms[idx], m):
+            if idx is None:
+                idx = next(divisors(m), -1)
+                if idx >= 0:
                     hits[m] = idx
-                    return idx
-                found ^= low
-            return -1
+            return idx
 
         def reduce(terms):
             """The full normal form of packed terms, descending.
@@ -620,7 +603,7 @@ class _Reducer:
                     heappush(heap, -key(mul(q, t)))
             return out
 
-        self.candidates, self.find_divisor, self.reduce = candidates, find_divisor, reduce
+        self.divisors, self.find_divisor, self.reduce = divisors, find_divisor, reduce
 
 
 def _as_basis(G, order):
@@ -694,7 +677,7 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
 
 def _buchberger(F, pk, max_pairs, max_basis, t0):
     key, unkey, degree, lcm, quo = pk.key, pk.unkey, pk.degree, pk.lcm, pk.quo
-    divides, any_divides, mul = pk.divides, pk.any_divides, pk.mul
+    any_divides, mul = pk.any_divides, pk.mul
     # each packed variable, a monomial of degree 1, and the bits of its field
     nvars = len(pk.shifts)
     fields = {pk.pack((0,) * v + (1,) + (0,) * (nvars - 1 - v)): pk.fmax << s
@@ -702,7 +685,8 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     stats = ReductionStats()
 
     red = _Reducer(pk)  # the working elements, lm first
-    lms, tails, reduce, find_divisor = red.lms, red.tails, red.reduce, red.find_divisor
+    lms, tails, reduce = red.lms, red.tails, red.reduce
+    find_divisor, divisors = red.find_divisor, red.divisors
     gcds = []         # the gcd of each working element's tail, None for a monomial
     nonmono = []      # indices of the working elements that are not monomials
     heap = []         # (lcm key, kind, i, j): pairs, and field tasks of kind 1
@@ -780,15 +764,9 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         """The chain criterion on the pair (i, j) as it pops: some element
         t > j, so added since the pair was queued, has lm_t | lcm_ij while
         lcm(lm_i, lm_t) and lcm(lm_j, lm_t) both differ from lcm_ij."""
-        found = red.candidates(lcm_ij) >> j + 1
-        while found:
-            low = found & -found
-            lmt = lms[j + low.bit_length()]
-            if (divides(lmt, lcm_ij) and lcm(lms[i], lmt) != lcm_ij
-                    and lcm(lms[j], lmt) != lcm_ij):
-                return True
-            found ^= low
-        return False
+        lmi, lmj = lms[i], lms[j]
+        return any(lcm(lmi, lmt) != lcm_ij and lcm(lmj, lmt) != lcm_ij
+                   for lmt in map(lms.__getitem__, divisors(lcm_ij, j)))
 
     for f in F.polynomials:
         update(pk.pack_element(f.terms))

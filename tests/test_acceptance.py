@@ -40,7 +40,7 @@ from boolgb import (
     solution_sets_equal,
     to_full,
 )
-from boolgb.cli import main as cli_main
+from boolgb.cli import _boolean_as_full, main as cli_main
 from test_polyring import random_poly
 
 
@@ -208,10 +208,9 @@ def test_oracle_algebra_equivalence(reduced_h):
 
 
 def _via_boolean_engine(F_bool, n, order):
+    """The Boolean engine's reduced basis, lifted as `--engine both` lifts it."""
     raw, _ = buchberger(F_bool)
-    red = interreduce(raw)
-    lifted = [to_full(g) for g in red.elements] + list(make_S(n))
-    return interreduce(GroebnerBasis(lifted, order, reduced=False))
+    return _boolean_as_full(interreduce(raw), n, order)
 
 
 def test_engine_cross_validation(reduced_h):

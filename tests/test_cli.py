@@ -16,6 +16,7 @@ from boolgb import (
     load_basis,
     make_G,
     make_H,
+    make_S,
     parse_poly,
     save_generators,
 )
@@ -710,6 +711,17 @@ def test_gb_boolean_engine_all_generators_vanish_exit_2(tmp_path, capsys):
     rc, _, stderr = run(capsys, "gb", str(path), "--engine", "boolean")
     assert rc == 2
     assert "vanish" in stderr
+
+
+def test_gb_both_engines_all_generators_vanish_exit_0(tmp_path, capsys):
+    # the Boolean image is the zero ideal, whose lift is the basis of S(1);
+    # the full engine's basis of x1^2+x1 and S(1) is the same
+    path = tmp_path / "field.gens"
+    path.write_text("# n=1 mode=full\nx1^2+x1\n")
+    out = tmp_path / "field.json"
+    rc, _, _ = run(capsys, "gb", str(path), "--engine", "both", "--out", str(out))
+    assert rc == 0
+    assert load_basis(out.read_text()).as_set() == frozenset(make_S(1))
 
 
 @pytest.mark.parametrize("command", [

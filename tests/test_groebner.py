@@ -36,6 +36,7 @@ from boolgb import (
     s_polynomial,
     to_full,
 )
+from boolgb.cli import _boolean_as_full
 from test_packing import CASES, chain_systems, random_monomials
 from test_polyring import random_poly
 
@@ -348,10 +349,9 @@ def test_uniqueness_under_generator_permutation():
 # boolean engine and mode consistency
 
 def boolean_lifted_basis(n, F_bool):
+    """The Boolean engine's reduced basis, lifted as `--engine both` lifts it."""
     raw, _ = buchberger(F_bool)
-    red = interreduce(raw)
-    lifted = [to_full(g) for g in red.elements] + list(make_S(n))
-    return interreduce(GroebnerBasis(lifted, F_bool.order, reduced=False))
+    return _boolean_as_full(interreduce(raw), n, F_bool.order)
 
 
 def test_mode_consistency_on_h():

@@ -99,12 +99,10 @@ def test_packed_kernels_agree_with_tuple_kernels(mode, order, scale):
         divisors = [i for i, d in enumerate(monos) if mono_divides(d, a)]
         for red in (single, batched):
             assert red.find_divisor(pk.pack(a)) == (divisors or [-1])[0]
-            # exactly the elements whose support lies in that of a
-            lacked = ~pk.support(pk.pack(a))
-            candidates = red.candidates(pk.pack(a))
-            assert candidates == sum(1 << i for i, p in enumerate(packed)
-                                     if not pk.support(p) & lacked)
-            assert all(candidates >> i & 1 for i in divisors)
+            # the walk the chain query starts above j, for every j
+            for above in range(-1, len(packed)):
+                assert list(red.divisors(pk.pack(a), above)) == [
+                    i for i in divisors if i > above]
 
 
 @pytest.mark.parametrize("mode,order,scale", SCALED)
