@@ -17,7 +17,6 @@ from .polyring import (
     ParseError,
     Polynomial,
     UnknownVariableError,
-    VarId,
     ZeroPolynomialError,
     format_mono,
     format_poly,

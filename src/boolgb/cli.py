@@ -389,7 +389,7 @@ _ARGUMENTS = {
     "--out": dict(default=None, help="output path (atomic write)"),
     "--format": dict(dest="fmt", choices=("text", "json"), default="text"),
     "--oracle": dict(action="store_true", help="cross-check by exhaustive evaluation"),
-    "-v": dict(dest="verbose", action="count", default=0),
+    "-v": dict(dest="verbose", action="store_true", help="print the run's counters"),
 }
 
 _RUN = ("--n", "--order", "--engine", "--max-pairs", "--max-basis", "--out", "--format")

@@ -101,14 +101,17 @@ layout for one (nvars, mode, order, width):
   and multiply is `+`.  The lcm selects each field from a or b with a
   mask built from the same subtraction, the gcd selects the other one,
   and both recompute the degree.
+- The quotient a/b is `a - b` in both modes: every quotient taken has
+  its divisor, and a bitmask b inside a gives a - b = a ^ b.
 - Fields are 1, 2, 4, ... bytes wide, the fewest that hold twice the
   largest input degree; up to 8 bytes, one `struct` call packs or
-  unpacks a whole monomial.  An lcm or product whose degree does not fit
-  raises `_Overflow`; `buchberger` then widens the fields and restarts,
-  and `normal_form` packs a query too wide for a basis's fields anew, so
-  a field never wraps.  Reduction cannot overflow: under a degree order
-  a reducer's tail is no larger in degree than its leading monomial, so
-  no product outgrows the monomial it replaces.
+  unpacks a whole monomial.  Only `pack` and `lcm` raise `_Overflow`;
+  every product is bounded by a checked lcm or by the monomial it
+  replaces, as under a degree order a tail monomial is no larger in
+  degree than its leading monomial, and no field exceeds the total
+  degree.  `buchberger` then widens the fields and restarts, and
+  `normal_form` packs a query too wide for a basis's fields anew, so a
+  field never wraps.
 - `key(m)` is one int that sorts exactly like `MonomialOrder.key` of the
   unpacked monomial: degree first, then the variables laid out from the
   most to the least significant one (x1 first for deglex; the last
@@ -221,7 +224,9 @@ class _Packing:
     Attributes that are callables are the kernels: pack, unpack, key,
     unkey, degree, divides, any_divides, lcm, gcd, mul, quo and support.
     any_divides(ms, b) is True when some monomial of the list ms divides
-    b, tested in one C-level loop.
+    b, tested in one C-level loop.  quo(a, b) needs b to divide a.  Only
+    pack and lcm raise _Overflow; every product is bounded by a checked
+    lcm or by the monomial it replaces.
     """
 
     __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key", "unkey",
@@ -250,23 +255,21 @@ class _Packing:
         self.boolean = boolean
         self.fmax = fmax
         self.shifts = shifts
+        self.quo = int.__sub__  # a bitmask b inside a: a - b = a ^ b
 
         if boolean:
             flip = 0 if deglex else vars_mask
             # one '0'/'1' character per variable, the first one most significant
             digits = f"0{nvars}b"
-            if deglex:
-                def pack(m):
-                    return int(bytes(m).translate(_BITS), 2)
+            # x1 first for deglex, the last variable first for degrevlex; a
+            # tuple or bytes sliced [::1] is the object itself
+            step = 1 if deglex else -1
 
-                def unpack(p):
-                    return tuple(format(p, digits).encode().translate(_UNBITS))
-            else:
-                def pack(m):
-                    return int(bytes(m[::-1]).translate(_BITS), 2)
+            def pack(m):
+                return int(bytes(m[::step]).translate(_BITS), 2)
 
-                def unpack(p):
-                    return tuple(format(p, digits).encode().translate(_UNBITS)[::-1])
+            def unpack(p):
+                return tuple(format(p, digits).encode().translate(_UNBITS)[::step])
 
             self.pack = pack
             self.unpack = unpack
@@ -277,7 +280,6 @@ class _Packing:
             self.any_divides = lambda ms, b: 0 in map((~b).__and__, ms)
             self.lcm = self.mul = int.__or__
             self.gcd = int.__and__
-            self.quo = int.__xor__
             self.support = int
             return
 
@@ -329,12 +331,6 @@ class _Packing:
             v = ((b & sel) | (a & ~sel)) & vars_mask  # the smaller fields
             return v | (((v * ones >> top) & field) << dshift)
 
-        def mul(a, b):
-            p = a + b
-            if p & guard:
-                raise _Overflow(p >> dshift)
-            return p
-
         self.pack = pack
         self.unpack = unpack
         self.key = self.unkey = flip.__xor__
@@ -344,8 +340,7 @@ class _Packing:
             guard.__and__, map((b | guard).__sub__, ms))
         self.lcm = lcm
         self.gcd = gcd
-        self.mul = mul
-        self.quo = int.__sub__
+        self.mul = int.__add__
         # one guard bit per nonzero variable field: a spread support mask
         self.support = lambda m: (m + values) & guard & vars_mask
 
@@ -538,9 +533,7 @@ class _Reducer:
     def _bind(self):
         pk, lms, tails, columns = self.pk, self.lms, self.tails, self.columns
         support, divides = pk.support, pk.divides
-        key, unkey, quo = pk.key, pk.unkey, pk.quo
-        # a full-mode product cannot overflow here: see the module docstring
-        mul = pk.mul if pk.boolean else int.__add__
+        key, unkey, quo, mul = pk.key, pk.unkey, pk.quo, pk.mul
         heapify, heappush, heappop = heapq.heapify, heapq.heappush, heapq.heappop
         hits = {}  # monomial -> index of first divisor (stable: appends only)
         hit = hits.get

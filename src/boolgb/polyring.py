@@ -13,7 +13,7 @@ union of supports.
 """
 
 import re
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 FULL = "full"
 BOOLEAN = "boolean"
@@ -45,28 +45,6 @@ class UnknownVariableError(ParseError):
 # ---------------------------------------------------------------------------
 # variables
 
-class VarId(NamedTuple):
-    """A ring variable: block index (1-based), kind letter, flat index."""
-
-    block: int
-    kind: str
-    flat: int
-
-    @classmethod
-    def from_flat(cls, flat: int) -> "VarId":
-        return cls(flat // 3 + 1, KINDS[flat % 3], flat)
-
-    @classmethod
-    def make(cls, block: int, kind: str) -> "VarId":
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
-        return cls(block, kind, 3 * (block - 1) + KINDS.index(kind))
-
-    @property
-    def name(self) -> str:
-        return f"{self.kind}{self.block}"
-
-
 def num_vars(n: int) -> int:
     """Number of ring variables for block count n."""
     return 3 * n
@@ -74,11 +52,13 @@ def num_vars(n: int) -> int:
 
 def var_flat(kind: str, block: int) -> int:
     """Flat index of variable `kind<block>` in the fixed x,y,z block-major layout."""
-    return VarId.make(block, kind).flat
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    return 3 * (block - 1) + KINDS.index(kind)
 
 
 def var_name(flat: int) -> str:
-    return VarId.from_flat(flat).name
+    return f"{KINDS[flat % 3]}{flat // 3 + 1}"
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,11 @@ def test_gb_h3_both_orders(tmp_path, capsys):
         assert basis.order.scheme == order
 
 
-def test_gb_stats_on_verbose(tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["-v", "-vv"])
+def test_gb_stats_on_verbose(tmp_path, capsys, flag):
     h2 = write_h(tmp_path, 2)
     out = tmp_path / "h2.json"
-    rc, _, stderr = run(capsys, "gb", h2, "-v", "--out", str(out))
+    rc, _, stderr = run(capsys, "gb", h2, flag, "--out", str(out))
     assert rc == 0
     assert "pairsGenerated=" in stderr
     assert "basisSize=21" in stderr
@@ -253,6 +254,13 @@ def test_bench_resource_limited_row_marked_incomplete(tmp_path, capsys):
     row = out.read_text().splitlines()[1].split(",")
     assert row[4] == ""       # gbCount missing
     assert row[5] == "45"     # prediction still present
+
+
+def test_bench_n_max_below_n_exit_2(capsys):
+    rc, stdout, stderr = run(capsys, "bench", "--n", "3", "--n-max", "2")
+    assert rc == 2
+    assert stdout == ""
+    assert "--n-max must be >= --n" in stderr
 
 
 def test_bench_csv_and_json_rows_agree(capsys):
@@ -565,6 +573,9 @@ DEEP = "[" * 200_000 + "]" * 200_000
     '{"n": 1, "mode": "full", "order": "deglex", "elements": [[[[0, -1]]]]}',
     '{"n": 1, "mode": "boolean", "order": "deglex", "elements": [[[[0, 2]]]]}',
     '{"n": 1, "mode": "full", "order": "lex", "elements": [[[[0, 1]]]]}',
+    # an element, or a monomial, that is not a list
+    '{"n": 1, "mode": "full", "order": "deglex", "elements": [5]}',
+    '{"n": 1, "mode": "full", "order": "deglex", "elements": [[5]]}',
     # nested deeper than the JSON decoder follows, bare or under a header
     pytest.param(DEEP, id="nested"),
     pytest.param('{"n": 1, "mode": "full", "order": "deglex", "elements": %s}' % DEEP,
@@ -663,6 +674,7 @@ def test_verify_enumerates_sol_h_once(capsys, monkeypatch):
     "# n=1 mode=lex\nx1\n",
     "# n=1 mode=full\n# mode=boolean\nx1\n",
     "# n=1 mode=full\nx1\n# n=2 mode=full\n",
+    "# n=1 mode=full\n",  # a header and no polynomial
 ])
 def test_bad_generator_header_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.gens"

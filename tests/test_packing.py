@@ -173,6 +173,23 @@ def test_high_exponents_are_exact():
     assert is_groebner_basis(list(basis), DEGLEX)
 
 
+@pytest.mark.parametrize("order", (DEGLEX, DEGREVLEX))
+@pytest.mark.parametrize("degree", (3, 300, 2 ** 70))
+def test_full_mode_product_of_degree_fmax_is_exact(order, degree):
+    # fields hold twice the largest input degree and fmax is odd, so no
+    # product of two inputs reaches it; these do, with every exponent in
+    # one field and spread over all three
+    pk = groebner._Packing(3, FULL, order, degree)
+    f = pk.fmax
+    h = f // 2
+    for a, b in [((h, 0, 0), (f - h, 0, 0)), ((h, 1, 0), (1, f - h - 3, 1))]:
+        product = mono_mul(a, b, FULL)
+        assert sum(product) == f
+        p = pk.mul(pk.pack(a), pk.pack(b))
+        assert p == pk.pack(product)
+        assert pk.unpack(p) == product and pk.degree(p) == f
+
+
 @pytest.mark.parametrize("mode,order", CASES)
 def test_basis_normal_form_matches_list_normal_form(mode, order):
     rng = random.Random(13)

@@ -14,7 +14,6 @@ from boolgb import (
     UnknownVariableError,
     ParseError,
     Polynomial,
-    VarId,
     ZeroPolynomialError,
     format_poly,
     leading_monomial,
@@ -62,16 +61,16 @@ def random_poly(rng, n, mode, max_terms=5, max_exp=2):
 def test_var_layout_block_major():
     assert [var_name(i) for i in range(6)] == ["x1", "y1", "z1", "x2", "y2", "z2"]
     assert var_flat("z", 2) == 5
-    v = VarId.from_flat(4)
-    assert (v.block, v.kind, v.name) == (2, "y", "y2")
-    assert VarId.make(2, "y").flat == 4
+    assert var_name(4) == "y2" and var_flat("y", 2) == 4
+    with pytest.raises(ValueError):
+        var_flat("x", 0)
 
 
 def test_var_layout_bijective():
     for flat in range(30):
-        v = VarId.from_flat(flat)
-        assert VarId.make(v.block, v.kind).flat == flat
-        assert v.flat == 3 * (v.block - 1) + "xyz".index(v.kind)
+        name = var_name(flat)
+        assert var_flat(name[0], int(name[1:])) == flat
+        assert flat == 3 * (int(name[1:]) - 1) + "xyz".index(name[0])
 
 
 # ---------------------------------------------------------------------------
