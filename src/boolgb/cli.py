@@ -173,7 +173,11 @@ def _full_basis(F: GeneratorSet, engine: str, caps: Caps):
 # commands
 
 def cmd_gen(args, caps: Caps) -> int:
-    F = construction.make_family(args.family, args.n, args.mode, args.order)
+    try:
+        F = construction.make_family(args.family, args.n, args.mode, args.order)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     _emit(construction.format_generator_file(F), args.out)
     report = f"family={args.family} n={args.n} count={len(F)}\n"
     (sys.stdout if args.out else sys.stderr).write(report)

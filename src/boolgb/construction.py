@@ -157,6 +157,8 @@ def make_family(name: str, n: int, mode: str = FULL,
         return make_H(n, mode, order)
     if name == "G":
         return make_G(n, mode, order)
+    if name == "S" and mode == BOOLEAN:
+        raise ValueError("S(n) is empty in the Boolean quotient, where c^2 = c")
     if name in FAMILIES:
         return GeneratorSet(FAMILIES[name](n, mode), order)
     raise ValueError(f"unknown family {name!r}")

@@ -48,25 +48,17 @@ These are exactly the pairs an update would prune at the arrival of
 each t, as no leading monomial, lcm or heap key ever changes; only the
 heap holds pair state.  On seeded random systems in 3 or 4 blocks that
 query drops a quarter to a third of the queued pairs; on H(n) it never
-fires.  Two cheaper steps go before it:
-
-- The look-back drop.  When j is a monomial, the S-polynomial of (i, j)
-  is (lcm/lm_i)*tail_i, fixed by i and the heap key.  A popped pair of
-  that kind with the same key and i as the last one is dropped and
-  counted as chain-pruned.  It is Buchberger's chain criterion (EUROSAM
-  1979) for pairs already treated, with that earlier monomial j' in the
-  middle: lm_j' divides the lcm, (i, j') was just treated and (j', j)
-  is a pair of monomials.  It drops n*3^(n-1) pairs of H(n), n >= 3.
-- The one-term check.  A task whose terms are one monomial, and whose
-  first divisor is a monomial element, reduces to zero in one step, so
-  it counts as a reduction to zero with no chain query.  A one-term
-  task with no divisor is its own normal form, so after the chain query
-  it enters the basis without a reduction.
-
-Neither step adds or drops an element, so every basis is the same as
-with the chain query alone.  A popped pair's heap key unpacks to
-lcm_ij, which both the chain check and the pair's S-polynomial read, so
-the pop loop computes no lcm.
+fires.  One cheaper rule goes before it: a task each of whose terms has
+a monomial first divisor reduces to zero in one step, whatever cancels,
+as each term is removed and replaced by nothing.  It counts as a
+reduction to zero with no chain query and no call of `reduce`.  A
+one-term task with no divisor is its own normal form, so after the
+chain query it enters the basis without a reduction.  Neither step adds
+or drops an element, so every basis is the same as with the chain query
+alone.  On full deglex H(8) the rule settles 63,424 of the 70,048
+popped tasks, and 64 reach a reduction.  A popped pair's heap key
+unpacks to lcm_ij, which both the chain check and the pair's
+S-polynomial read, so the pop loop computes no lcm.
 
 Divisibility searches read one support index (after Roune & Stillman,
 ISSAC 2012), the reducer's: one int column per support bit with a bit
@@ -174,10 +166,9 @@ class ReductionStats:
     Every generated candidate (ordinary pair or Boolean field task) is
     either queued, skipped by a criterion, or never formed because it is
     a pair of two monomials or a field task of a monomial (pairs_monomial).
-    A queued pair dropped as it pops counts in pairs_chain_pruned as
-    well: by the chain query, or by the look-back drop, as it repeats the
-    S-polynomial of the pair popped before it.  Every other queued task
-    is reduced; one of a single term whose first divisor is a monomial
+    A queued pair that the chain query drops as it pops counts in
+    pairs_chain_pruned as well.  Every other queued task reduces to zero
+    or adds an element; one whose terms all have a monomial first divisor
     counts as a reduction to zero with no chain query.
     """
 
@@ -764,33 +755,23 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     for f in F.polynomials:
         update(pk.pack_element(f.terms))
 
-    last = None  # (key, i) of the last popped pair (i, j) with j a monomial
     while heap:
         k, kind, i, j = heapq.heappop(heap)
-        if kind == 0 and not tails[j]:
-            # its S-polynomial (lcm/lm_i)*tail_i is that of the last such
-            # pair if it has the same lcm and i: the look-back drop
-            if last == (k, i):
-                stats.pairs_chain_pruned += 1
-                continue
-            last = k, i
         lcm_ij = unkey(k)  # of a field task: lm_i, which it does not read
         terms = _task_terms(pk, lms, tails, kind, i, j, lcm_ij)
-        r = None
-        if len(terms) == 1:
-            # a monomial first divisor takes one term to zero in one step,
-            # and a term with no divisor is its own normal form
-            d = find_divisor(terms[0])
-            if d < 0:
-                r = terms
-            elif not tails[d]:
-                stats.reductions_to_zero += 1
-                continue
+        # every term has a monomial first divisor: zero in one step
+        for m in terms:
+            d = find_divisor(m)
+            if d < 0 or tails[d]:
+                break
+        else:
+            stats.reductions_to_zero += 1
+            continue
         if kind == 0 and chain(i, j, lcm_ij):
             stats.pairs_chain_pruned += 1
             continue
-        if r is None:
-            r = reduce(terms)
+        # a lone term with no divisor is its own normal form
+        r = terms if d < 0 and len(terms) == 1 else reduce(terms)
         if r:
             update(r)
         else:

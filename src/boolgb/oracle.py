@@ -127,7 +127,8 @@ def _enumerate(polys, bounds, max_bits: int, keep=()):
     count, columns = 1, {}
     for v, b in enumerate(bounds):
         if b > 1:
-            if count * b > 1 << max_bits:
+            # past 2^max_bits, compared without building that power
+            if (count * b - 1).bit_length() > max_bits:
                 raise TooManyVariablesError(
                     f"the search needs {count * b} live candidates, past the "
                     f"2^{max_bits} enumeration cap")

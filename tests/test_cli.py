@@ -66,6 +66,17 @@ def test_gen_boolean_mode_drops_field_polys(tmp_path, capsys):
     assert len(lines) - 1 == 3
 
 
+def test_gen_boolean_field_polys_exit_2(tmp_path, capsys):
+    # S(n) is empty in the Boolean quotient: nothing is written
+    out = tmp_path / "sb.gens"
+    rc, stdout, stderr = run(capsys, "gen", "--family", "S", "--n", "1",
+                             "--mode", "boolean", "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+    assert not out.exists()
+
+
 def test_gen_to_stdout(capsys):
     rc, stdout, stderr = run(capsys, "gen", "--family", "L", "--n", "1")
     assert rc == 0
@@ -456,6 +467,14 @@ def test_verify_skips_checks_over_point_cap(capsys, monkeypatch):
     assert "V1 SKIPPED" in stdout
     assert "V4 SKIPPED" in stdout
     assert "V3 PASS" in stdout
+
+
+def test_verify_under_a_huge_point_cap_passes(capsys, monkeypatch):
+    # the cap is compared by bit length: 2^(10^18) is never built
+    monkeypatch.setenv("BOOLGB_CAPS", f"points={10 ** 18}")
+    rc, stdout, _ = run(capsys, "verify", "--n", "2")
+    assert rc == 0
+    assert stdout.count("PASS") == 5
 
 
 def test_verify_point_cap_bounds_standard_monomial_count(capsys, monkeypatch):

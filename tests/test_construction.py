@@ -146,6 +146,12 @@ def test_make_family_dispatch():
         make_family("Q", 2)
 
 
+def test_make_family_S_is_empty_in_boolean_mode():
+    # c^2 + c vanishes in the Boolean quotient: no set to build
+    with pytest.raises(ValueError, match="empty"):
+        make_family("S", 1, BOOLEAN)
+
+
 def test_degree_bound_of_families():
     for n in (1, 2, 3, 4, 5):
         bound = max(2, n)
