@@ -29,17 +29,29 @@ one lcm is dropped when one member meets either criterion, and its lcm
 still prunes the larger lcms of the same update.
 
 An update reads each partner's lcm by its excess e = lcm/lm_f over the
-new leading monomial, as lcm_a | lcm_b exactly when e_a | e_b.  If some
-e is 1 (a partner's lm divides lm_f), that lcm is the only minimal one.
-Otherwise an excess of degree 1 is one variable, which no other excess
-properly divides and which divides exactly the excesses that contain
-it: those variables are minimal, and one AND with the mask of their
-exponent fields prunes every excess that contains one.  Only the few
-left (594 of 26,868 lcms on full deglex H(6)) are checked among
-themselves, a level against the minimal ones of lower degree, as two
-distinct monomials of one degree never divide each other.  The criteria
-read the same excess: lm_i/e is the gcd of lm_i and lm_f, and e = lm_i
-means coprime leading monomials.
+new leading monomial, as lcm_a | lcm_b exactly when e_a | e_b, and
+computes all of them in one batch (`_Packing.excesses`, after the
+guard-bit arithmetic of Monagan & Pearce): the partners' leading
+monomials sit back to back in fixed-width slots of a bytearray that the
+update appends to, one for all elements and one for the non-monomials,
+and some twenty big-int operations over those slots give every
+excess and, per slot, whether the pair's gcd lm_i/e divides its bound.
+That is the criteria: the monomial criterion bounds the gcd by the gcd
+of the non-monomial's tail (kept in a parallel bytearray), the product
+criterion by 1 (e = lm_i).  A dict from each excess to its lowest
+partner forms the groups, so the Python loop sees only the distinct
+excesses.  If some e is 1 (a partner's lm divides lm_f), that lcm is the
+only minimal one.  Otherwise an excess of degree 1 is one variable,
+which no other excess properly divides and which divides exactly the
+excesses that contain it: those variables are minimal, and one AND with
+the mask of their exponent fields prunes every excess that contains
+one.  Only the few left (594 of 26,868 lcms on full deglex H(6)) are
+checked among themselves, a level against the minimal ones of lower
+degree, as two distinct monomials of one degree never divide each
+other.  A batch holds no lcm of degree past the fields: the update
+first bounds it by degree(lm_f) plus the largest partner degree, and
+only when that bound fails calls `lcm` on each partner, which raises
+`_Overflow` exactly as before.
 
 The chain criterion drops a queued pair (i, j) as it pops when some
 element t > j, so added since the pair was queued, has lm_t | lcm_ij
@@ -68,7 +80,10 @@ among the elements in no column of a variable m lacks, and `divides`
 confirms each, as a full-mode support ignores exponents.  Reduction
 always divides the largest reducible monomial by its first divisor in
 basis order (ascending leading monomial, ties in the order given); the
-chain criterion reads the divisors of lcm_ij above j.
+chain criterion reads the divisors of lcm_ij above j.  A miss is
+remembered with the element count it was found at, so a later lookup
+walks only the elements appended since, and none on a basis that does
+not grow.
 The one reduction kernel, `reduce`, is bound once per reducer, as a
 closure over the order key, the multiply, the reducer's element lists
 and its memo of first divisors; the engine, `interreduce`,
@@ -117,6 +132,7 @@ import itertools
 import json
 import operator
 import struct
+import sys
 import time
 
 from .polyring import (
@@ -203,6 +219,19 @@ class ReductionStats:
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 _UNBITS = bytes.maketrans(b"01", b"\x00\x01")
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# 1 for a byte whose top bit is clear
+_CLEAR = bytes(x < 128 for x in range(256))
+
+
+def _splitter(size):
+    """A function from little-endian bytes of size-byte slots to their ints."""
+    if size in _STRUCT_CODES and sys.byteorder == "little":
+        code = _STRUCT_CODES[size]
+        return lambda b: memoryview(b).cast(code).tolist()
+    unpack = struct.Struct(f"{size}s").iter_unpack
+    return lambda b: list(map(int.from_bytes, map(operator.itemgetter(0), unpack(b)),
+                              itertools.repeat("little")))
+
 
 
 class _Overflow(Exception):
@@ -213,16 +242,26 @@ class _Packing:
     """Packed-int monomials for one ring, order and field width.
 
     Attributes that are callables are the kernels: pack, unpack, key,
-    unkey, degree, divides, any_divides, lcm, gcd, mul, quo and support.
-    any_divides(ms, b) is True when some monomial of the list ms divides
-    b, tested in one C-level loop.  quo(a, b) needs b to divide a.  Only
-    pack and lcm raise _Overflow; every product is bounded by a checked
-    lcm or by the monomial it replaces.
+    unkey, degree, divides, any_divides, lcm, gcd, mul, quo, support,
+    slot and excesses.  any_divides(ms, b) is True when some monomial of
+    the list ms divides b, tested in one C-level loop.  quo(a, b) needs b
+    to divide a.  Only pack and lcm raise _Overflow; every product is
+    bounded by a checked lcm or by the monomial it replaces.
+
+    The batch kernels work on runs of slots: slot(m) is m as the bytes of
+    one fixed-width, little-endian slot (full mode: the variable fields
+    and an empty degree field; Boolean mode: padded to 1, 2, 4 or 8
+    bytes, past the variables).  excesses(slots, f, bounds, g=None)
+    reads k monomials a_i from slots and k bounds h_i from bounds (each
+    ANDed with g if given) and returns the list of quo(lcm(a_i, f), f)
+    and k bytes, 1 where gcd(a_i, f) divides h_i.  Full mode computes
+    lcm's guard-bit selection over all slots at once and fills each
+    degree field with one multiply by `ones`; every lcm must fit fmax.
     """
 
     __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key", "unkey",
                  "degree", "divides", "any_divides", "lcm", "gcd", "mul", "quo",
-                 "support")
+                 "support", "slot", "excesses")
 
     def __init__(self, nvars, mode, order, degree):
         boolean = mode == BOOLEAN
@@ -272,6 +311,27 @@ class _Packing:
             self.lcm = self.mul = int.__or__
             self.gcd = int.__and__
             self.support = int
+            # slots of 1, 2, 4 or 8 bytes, split in one cast, with a spare
+            # top bit above the variables
+            span = next((s for s in (1, 2, 4, 8) if 8 * s > nvars), nvars // 8 + 1)
+            split = _splitter(span)
+            lows = ((1 << 8 * span - 1) - 1).to_bytes(span, "little")
+            self.slot = lambda m: m.to_bytes(span, "little")
+
+            def excesses(slots, f, bounds, g=None):
+                k = len(slots) // span
+                a = int.from_bytes(slots, "little")
+                fs = int.from_bytes(f.to_bytes(span, "little") * k, "little")
+                h = int.from_bytes(bounds, "little")
+                if g is not None:
+                    h &= int.from_bytes(g.to_bytes(span, "little") * k, "little")
+                # the gcd a_i & f divides h_i iff it has no bit outside h_i,
+                # that is iff adding the bits below the top leaves it clear
+                s = (a & fs & ~h) + int.from_bytes(lows * k, "little")
+                return (split((a & ~fs).to_bytes(len(slots), "little")),
+                        s.to_bytes(len(slots), "little")[span - 1::span].translate(_CLEAR))
+
+            self.excesses = excesses
             return
 
         if nbytes in _STRUCT_CODES:
@@ -335,6 +395,38 @@ class _Packing:
         # one guard bit per nonzero variable field: a spread support mask
         self.support = lambda m: (m + values) & guard & vars_mask
 
+        # a slot holds the variable fields and an empty degree field, so
+        # that a subtraction of slots borrows across no slot
+        span = nbytes * (nvars + 1)
+        split = _splitter(span)
+        guards = (guard & vars_mask).to_bytes(span, "little")
+        lows = ((1 << 8 * span - 1) - 1).to_bytes(span, "little")
+        degrees = (fmax << dshift).to_bytes(span, "little")
+
+        def slot(m):
+            return (m & vars_mask).to_bytes(span, "little")
+
+        def excesses(slots, f, bounds, g=None):
+            k = len(slots) // span
+            gs = int.from_bytes(guards * k, "little")
+            a = int.from_bytes(slots, "little")
+            d = (a | gs) - int.from_bytes(slot(f) * k, "little")
+            ge = d & gs                       # guard bits where a_i >= f_i
+            v = d & (ge - (ge >> low))        # there a_i - f_i, elsewhere 0
+            h = int.from_bytes(bounds, "little")
+            if g is not None:
+                h &= int.from_bytes(slot(g) * k, "little")
+            # the gcd a_i - v_i divides h_i iff no field of it is larger,
+            # that is iff adding the bits below the top leaves it clear
+            s = (((h | gs) - (a - v)) & gs ^ gs) + int.from_bytes(lows * k, "little")
+            # each slot's degree: its fields summed at `top` by one multiply
+            v |= v * ones << width & int.from_bytes(degrees * k, "little")
+            return (split(v.to_bytes(len(slots), "little")),
+                    s.to_bytes(len(slots), "little")[span - 1::span].translate(_CLEAR))
+
+        self.slot = slot
+        self.excesses = excesses
+
     def pack_element(self, terms):
         """The packed terms of an element, descending: leading monomial first."""
         return sorted(map(self.pack, terms), key=self.key, reverse=True)
@@ -358,18 +450,6 @@ def _task_terms(pk, lms, tails, kind, i, j, lcm=None):
         lcm = pk.lcm(lms[i], lms[j])
     qi, qj = pk.quo(lcm, lms[i]), pk.quo(lcm, lms[j])
     return [mul(qi, t) for t in ti] + [mul(qj, t) for t in tails[j]]
-
-
-def _monomial_pair_is_zero(pk, lm, e, tail_gcd):
-    """True when the S-pair of a monomial m and an element f reduces to
-    zero by m.  lm is the leading monomial of either one and e the excess
-    of their lcm over the other's, so lm/e is g = gcd(m, lm f).
-
-    Its S-polynomial is (m/g)*tail(f); when g divides tail_gcd, the gcd
-    of that tail, each of its monomials is a multiple of m.  g = 1 is the
-    product criterion.
-    """
-    return pk.divides(pk.quo(lm, e), tail_gcd)
 
 
 def _support_vars(pk, m):
@@ -526,8 +606,9 @@ class _Reducer:
         support, divides = pk.support, pk.divides
         key, unkey, quo, mul = pk.key, pk.unkey, pk.quo, pk.mul
         heapify, heappush, heappop = heapq.heapify, heapq.heappush, heapq.heappop
-        hits = {}  # monomial -> index of first divisor (stable: appends only)
-        hit = hits.get
+        hits = {}    # monomial -> index of first divisor (stable: appends only)
+        misses = {}  # monomial -> the element count when it had no divisor
+        hit, missed = hits.get, misses.get
 
         def divisors(m, above=-1):
             """The indices above `above` of the leading monomials dividing
@@ -551,8 +632,14 @@ class _Reducer:
             """Index of the first leading monomial dividing m, or -1."""
             idx = hit(m)
             if idx is None:
-                idx = next(divisors(m), -1)
-                if idx >= 0:
+                # after a miss only the elements appended since can divide m
+                seen = missed(m, 0)
+                if seen == len(lms):
+                    return -1
+                idx = next(divisors(m, seen - 1), -1)
+                if idx < 0:
+                    misses[m] = len(lms)
+                else:
                     hits[m] = idx
             return idx
 
@@ -660,8 +747,8 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
 
 
 def _buchberger(F, pk, max_pairs, max_basis, t0):
-    key, unkey, degree, lcm, quo = pk.key, pk.unkey, pk.degree, pk.lcm, pk.quo
-    any_divides, mul = pk.any_divides, pk.mul
+    key, unkey, degree, lcm = pk.key, pk.unkey, pk.degree, pk.lcm
+    any_divides, mul, slot, excesses = pk.any_divides, pk.mul, pk.slot, pk.excesses
     # each packed variable, a monomial of degree 1, and the bits of its field
     nvars = len(pk.shifts)
     fields = {pk.pack((0,) * v + (1,) + (0,) * (nvars - 1 - v)): pk.fmax << s
@@ -671,8 +758,14 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     red = _Reducer(pk)  # the working elements, lm first
     lms, tails, reduce = red.lms, red.tails, red.reduce
     find_divisor, divisors = red.find_divisor, red.divisors
-    gcds = []         # the gcd of each working element's tail, None for a monomial
     nonmono = []      # indices of the working elements that are not monomials
+    # the update's batches: per element, a slot of its leading monomial
+    # (slots) and one of all ones for a monomial, the packed 1 otherwise
+    # (kinds); per element of nonmono, its leading monomial and the gcd of
+    # its tail; and the largest lm degree among all and among nonmono
+    slots, kinds, nonslots, gcdslots = bytearray(), bytearray(), bytearray(), bytearray()
+    span = len(slot(0))
+    tops = [0, 0]
     heap = []         # (lcm key, kind, i, j): pairs, and field tasks of kind 1
 
     def update(element):
@@ -684,50 +777,51 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         red.extend([element])
         lmf, tailf = lms[t], tails[t]
         monomial = not tailf
-        gcdf = None if monomial else functools.reduce(pk.gcd, tailf)
-        gcds.append(gcdf)
 
         stats.pairs_generated += t
         # a monomial pairs only with non-monomials: the S-polynomial of two
         # monomials is zero, so such a pair counts as processed unformed
         partners = nonmono if monomial else range(t)
         stats.pairs_monomial += t - len(partners)
-        # group candidate pairs by the excess e = lcm/lm_f of their lcm
-        groups = {}
-        lcms = map(lcm, map(lms.__getitem__, partners), itertools.repeat(lmf))
-        for i, e in zip(partners, map(quo, lcms, itertools.repeat(lmf))):
-            groups.setdefault(e, []).append(i)
+        # no lcm of degree past fmax may enter the batch: test the bound
+        # first, and each partner's lcm only when it fails
+        d = degree(lmf)
+        if not pk.boolean and d + tops[monomial] > pk.fmax:
+            for lm in map(lms.__getitem__, partners):
+                lcm(lm, lmf)  # raises _Overflow
+        # every partner's excess e = lcm/lm_f in one batch, and the excesses
+        # of the pairs known to reduce to zero, whose gcd g = lm_i/e divides
+        # a bound: the monomial criterion bounds g by the gcd of the
+        # non-monomial's tail, the product criterion by 1
+        if monomial:
+            es, known = excesses(nonslots, lmf, gcdslots)
+        else:
+            gcdf = functools.reduce(pk.gcd, tailf)
+            es, known = excesses(slots, lmf, kinds, gcdf)
+        # each excess and its lowest partner: pairs of one lcm form a group
+        first = dict(zip(reversed(es), reversed(partners)))
+        zero = set(itertools.compress(es, known))
         # one representative per minimal lcm, found by excess (see the
         # module docstring): the variables among the excesses are minimal,
         # the mask of their fields prunes every excess that contains one,
         # and the rest are checked level by level among themselves
-        if 0 in groups:  # the packed 1: lm_i | lm_f
+        if 0 in first:  # the packed 1: lm_i | lm_f
             minimal = [0]
         else:
-            minimal = list(groups.keys() & fields.keys())
+            minimal = list(first.keys() & fields.keys())
             ones = functools.reduce(operator.or_, map(fields.get, minimal), 0)
-            rest = sorted(itertools.filterfalse(ones.__and__, groups), key=key)
+            rest = sorted(itertools.filterfalse(ones.__and__, first), key=key)
             others = []
             for _, level in itertools.groupby(rest, degree):
                 others += [e for e in level if not any_divides(others, e)]
             minimal += others
-        queued = 0
-        for e in minimal:
-            members = groups[e]  # ascending indices
-            # a pair known to reduce to zero drops its group: the monomial
-            # criterion, or for two non-monomials the product criterion
-            # (coprime leading monomials: the excess is lm_i)
-            for i in members:
-                if (e == lms[i] if tails[i] and tailf
-                        else _monomial_pair_is_zero(
-                            pk, lms[i], e, gcds[i] if monomial else gcdf)):
-                    break
-            else:
-                heapq.heappush(heap, (key(mul(lmf, e)), 0, members[0], t))
-                queued += 1
+        # a group with one member known to reduce to zero queues no pair
+        queued = [e for e in minimal if e not in zero]
+        for e in queued:
+            heapq.heappush(heap, (key(mul(lmf, e)), 0, first[e], t))
         # a group queues at most one pair; every other partner is pruned
-        stats.pairs_queued += queued
-        stats.pairs_skipped_by_criteria += len(partners) - queued
+        stats.pairs_queued += len(queued)
+        stats.pairs_skipped_by_criteria += len(partners) - len(queued)
 
         if pk.boolean:
             support_vars = _support_vars(pk, lmf)
@@ -738,8 +832,17 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
                 stats.pairs_queued += len(support_vars)
                 for v in support_vars:
                     heapq.heappush(heap, (key(lmf), 1, t, v))
-        if not monomial:
+        s = slot(lmf)
+        slots.extend(s)
+        tops[0] = max(tops[0], d)
+        if monomial:
+            kinds.extend(b"\xff" * span)
+        else:
+            kinds.extend(bytes(span))
             nonmono.append(t)
+            nonslots.extend(s)
+            gcdslots.extend(slot(gcdf))
+            tops[1] = max(tops[1], d)
         if stats.pairs_queued > max_pairs:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"pair cap exceeded ({max_pairs})", stats)

@@ -125,6 +125,78 @@ def test_s_polynomial_matches_tuple_reference(mode, order, scale):
     assert shared > 100  # pairs past the product criterion
 
 
+def spread(rng, total, count):
+    """count random nonnegative ints that sum to total."""
+    cuts = sorted(rng.randint(0, total) for _ in range(count - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+# one-byte, two-byte and 16-byte fields; slots of 4 and 8 bytes split by
+# one cast, the others (and Boolean slots past 8 bytes) slot by slot
+EXCESS_CASES = [(mode, order, 3, nvars) for mode, order in CASES for nvars in (3, 6)] + [
+    (FULL, order, degree, nvars) for order in (DEGLEX, DEGREVLEX)
+    for degree in (300, 2 ** 70) for nvars in (3, 6)] + [
+    (BOOLEAN, order, 1, 66) for order in (DEGLEX, DEGREVLEX)]
+
+
+@pytest.mark.parametrize("mode,order,degree,nvars", EXCESS_CASES)
+def test_batched_excesses_match_the_scalar_kernels(mode, order, degree, nvars):
+    # every partner's excess quo(lcm(a, f), f) and its criterion flag,
+    # gcd(a, f) | bound, in one batch, against the scalar kernels; lcm
+    # degrees and single exponents reach fmax, as overflow is tested first
+    rng = random.Random(31)
+    pk = groebner._Packing(nvars, mode, order, degree)
+    fmax = pk.fmax
+
+    def monomial(fields):
+        return pk.pack(tuple(fields))
+
+    for trial in range(60):
+        if mode == BOOLEAN:
+            f = [rng.randint(0, 1) for _ in range(nvars)]
+        elif trial % 10 == 0:  # one exponent of fmax: every excess is 1
+            f = [0] * nvars
+            f[rng.randrange(nvars)] = fmax
+        else:
+            f = spread(rng, rng.choice([0, fmax // 2, rng.randint(0, fmax), fmax]), nvars)
+        budget = fmax - sum(f)  # every lcm stays within fmax
+        partners = []
+        for _ in range(rng.choice([0, 1, 40])):
+            if mode == BOOLEAN:
+                a = [rng.randint(0, 1) for _ in range(nvars)]
+            else:
+                excess = spread(rng, rng.choice([0, budget, rng.randint(0, budget)]), nvars)
+                if rng.random() < 0.2:  # the whole budget in one field
+                    excess = [0] * nvars
+                    excess[rng.randrange(nvars)] = budget
+                a = [fi + e if e else rng.randint(0, fi) for fi, e in zip(f, excess)]
+            partners.append(monomial(a))
+        if partners:
+            partners[rng.randrange(len(partners))] = monomial(f)  # excess 1
+        pf = monomial(f)
+        expected = [pk.quo(pk.lcm(a, pf), pf) for a in partners]
+        gcds = [pk.quo(a, e) for a, e in zip(partners, expected)]
+        # bounds the gcd divides (itself, the partner) or may not (a field less)
+        bounds = []
+        for g, a in zip(gcds, partners):
+            fields = list(pk.unpack(g))
+            v = rng.randrange(nvars)
+            fields[v] = max(fields[v] - 1, 0)
+            bounds.append(rng.choice([g, a, monomial(fields), 0]))
+        slots = b"".join(map(pk.slot, partners))
+        es, known = pk.excesses(slots, pf, b"".join(map(pk.slot, bounds)))
+        assert es == expected
+        assert list(known) == [pk.divides(g, h) for g, h in zip(gcds, bounds)]
+        # the bounds ANDed with a monomial g: all ones keeps g, zero gives 1
+        g = monomial(f if mode == BOOLEAN else spread(rng, rng.randint(0, fmax), nvars))
+        keep = [rng.randint(0, 1) for _ in partners]
+        span = len(pk.slot(0))
+        masks = b"".join(b"\xff" * span if k else bytes(span) for k in keep)
+        es, known = pk.excesses(slots, pf, masks, g)
+        assert es == expected
+        assert list(known) == [pk.divides(gcd, g if k else 0) for gcd, k in zip(gcds, keep)]
+
+
 @pytest.mark.parametrize("mode,order", CASES)
 def test_reducer_finds_a_divisor_appended_after_a_miss(mode, order):
     pk = groebner._Packing(3, mode, order, 3)
@@ -162,6 +234,24 @@ def test_full_mode_overflow_widens_instead_of_wrapping(widths):
         "x1*y1^62+z1", "x1^62*z1+y1^63", "x1^63+y1", "y1^125+x1^61*z1^2"]
     assert (stats.pairs_generated, stats.pairs_skipped_by_criteria,
             stats.reductions_to_zero) == (6, 2, 2)
+
+
+def test_overflow_in_a_monomial_update_widens(widths):
+    # inputs of degree 55 get one-byte fields (exponents up to 127); the
+    # basis grows the monomial x1^2*y1^85*z1^6, whose update pairs it with
+    # the one non-monomial, x1^5*y1^9*z1^41 + ..., at an lcm of degree 131,
+    # the only lcm of the run past 127
+    F = GeneratorSet([parse_poly("x1^14*y1^7*z1^15", 1),
+                      parse_poly("x1^5*y1^9*z1^41+x1^2*y1^28*z1^6", 1)], DEGLEX)
+    raw, stats = buchberger(F)
+    assert widths[0] < 131 <= widths[1]  # buchberger restarted wider
+    reduced = interreduce(raw)
+    assert is_groebner_basis(list(reduced), DEGLEX)
+    assert sorted(format_poly(f) for f in reduced) == [
+        "x1^11*y1^28*z1^6", "x1^14*y1^7*z1^15", "x1^2*y1^85*z1^6",
+        "x1^5*y1^66*z1^6", "x1^5*y1^9*z1^41+x1^2*y1^28*z1^6", "x1^8*y1^47*z1^6"]
+    assert (stats.pairs_generated, stats.pairs_queued, stats.pairs_monomial,
+            stats.reductions_to_zero) == (15, 4, 10, 0)
 
 
 def test_high_exponents_are_exact():
@@ -504,12 +594,14 @@ def test_monomial_pair_criterion_is_sound(mode, order):
         m = random_monomials(rng, 3, mode, 1)[0]
         pk = groebner._Packing(3, mode, order, max(f.degree(), sum(m)))
         (lm, *tail), pm = pk.pack_element(f.terms), pk.pack(m)
-        lcm = pk.lcm(pm, lm)
         if tail:
-            zero = groebner._monomial_pair_is_zero(
-                pk, lm, pk.quo(lcm, pm), functools.reduce(pk.gcd, tail))
+            # the monomial's update: f is its partner, bounded by its tail's gcd
+            (e,), known = pk.excesses(pk.slot(lm), pm,
+                                      pk.slot(functools.reduce(pk.gcd, tail)))
+            zero = bool(known[0])
             # g divides the tail's gcd exactly when it divides every tail monomial
-            g = pk.quo(lm, pk.quo(lcm, pm))
+            g = pk.quo(lm, e)
+            assert g == pk.gcd(lm, pm)
             assert zero == all(pk.divides(g, t) for t in tail)
         else:
             zero = True  # two monomials: the S-polynomial is zero
