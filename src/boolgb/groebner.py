@@ -48,10 +48,9 @@ the mask of their exponent fields prunes every excess that contains
 one.  Only the few left (594 of 26,868 lcms on full deglex H(6)) are
 checked among themselves, a level against the minimal ones of lower
 degree, as two distinct monomials of one degree never divide each
-other.  A batch holds no lcm of degree past the fields: the update
-first bounds it by degree(lm_f) plus the largest partner degree, and
-only when that bound fails calls `lcm` on each partner, which raises
-`_Overflow` exactly as before.
+other.  A batch holds no lcm of degree past the fields, by the width
+rule below: the update admits lm_f only when the fields hold twice its
+degree, and every partner was admitted so.
 
 The chain criterion drops a queued pair (i, j) as it pops when some
 element t > j, so added since the pair was queued, has lm_t | lcm_ij
@@ -106,19 +105,21 @@ layout for one (nvars, mode, order, width):
   field on top.  The top bit of every field is a guard bit that is zero
   in every stored monomial, so a divides b is `((b|G) - a) & G == G`
   and multiply is `+`.  The lcm selects each field from a or b with a
-  mask built from the same subtraction, the gcd selects the other one,
-  and both recompute the degree.
+  mask built from the same subtraction and recomputes the degree; the
+  gcd is `a + b - lcm(a, b)`.
 - The quotient a/b is `a - b` in both modes: every quotient taken has
   its divisor, and a bitmask b inside a gives a - b = a ^ b.
 - Fields are 1, 2, 4, ... bytes wide, the fewest that hold twice the
   largest input degree; up to 8 bytes, one `struct` call packs or
-  unpacks a whole monomial.  Only `pack` and `lcm` raise `_Overflow`;
-  every product is bounded by a checked lcm or by the monomial it
-  replaces, as under a degree order a tail monomial is no larger in
-  degree than its leading monomial, and no field exceeds the total
-  degree.  `buchberger` then widens the fields and restarts, and
-  `normal_form` packs a query too wide for a basis's fields anew, so a
-  field never wraps.
+  unpacks a whole monomial.  The width rule: the fields hold twice the
+  degree of every leading monomial in the basis.  Under a degree order
+  a tail monomial is no larger in degree than its leading monomial, and
+  no field exceeds the total degree, so every lcm of two elements fits,
+  and every product is bounded by an lcm or by the monomial it
+  replaces.  Two places raise `_Overflow`: `pack`, and the update when
+  an entering element's leading monomial breaks the rule.  `buchberger`
+  then widens the fields and restarts, and `normal_form` packs a query
+  too wide for a basis's fields anew, so a field never wraps.
 - `key(m)` is one int that sorts exactly like `MonomialOrder.key` of the
   unpacked monomial: degree first, then the variables laid out from the
   most to the least significant one (x1 first for deglex; the last
@@ -245,8 +246,9 @@ class _Packing:
     unkey, degree, divides, any_divides, lcm, gcd, mul, quo, support,
     slot and excesses.  any_divides(ms, b) is True when some monomial of
     the list ms divides b, tested in one C-level loop.  quo(a, b) needs b
-    to divide a.  Only pack and lcm raise _Overflow; every product is
-    bounded by a checked lcm or by the monomial it replaces.
+    to divide a.  Of the kernels only pack raises _Overflow.  Full-mode
+    lcm and gcd need the width rule: the fields hold twice the degree of
+    each operand, as of every leading monomial the engine admits.
 
     The batch kernels work on runs of slots: slot(m) is m as the bytes of
     one fixed-width, little-endian slot (full mode: the variable fields
@@ -256,7 +258,8 @@ class _Packing:
     ANDed with g if given) and returns the list of quo(lcm(a_i, f), f)
     and k bytes, 1 where gcd(a_i, f) divides h_i.  Full mode computes
     lcm's guard-bit selection over all slots at once and fills each
-    degree field with one multiply by `ones`; every lcm must fit fmax.
+    degree field with one multiply by `ones`, which the width rule keeps
+    within fmax.
     """
 
     __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key", "unkey",
@@ -371,16 +374,13 @@ class _Packing:
             ge = ((a | guard) - b) & guard  # guard bits where a_i >= b_i
             sel = ge - (ge >> low)          # value bits of those fields
             v = ((a & sel) | (b & ~sel)) & vars_mask
-            d = (v * ones >> top) & field   # sum of the variable fields
-            if d > fmax:
-                raise _Overflow(d)
-            return v | (d << dshift)
+            # the sum of the variable fields, at most fmax by the width rule
+            return v | (((v * ones >> top) & field) << dshift)
 
         def gcd(a, b):
-            ge = ((a | guard) - b) & guard
-            sel = ge - (ge >> low)
-            v = ((b & sel) | (a & ~sel)) & vars_mask  # the smaller fields
-            return v | (((v * ones >> top) & field) << dshift)
+            # min = a + b - max, field by field: a + b carries nowhere, as
+            # each is of degree at most fmax/2
+            return a + b - lcm(a, b)
 
         self.pack = pack
         self.unpack = unpack
@@ -762,10 +762,9 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     # the update's batches: per element, a slot of its leading monomial
     # (slots) and one of all ones for a monomial, the packed 1 otherwise
     # (kinds); per element of nonmono, its leading monomial and the gcd of
-    # its tail; and the largest lm degree among all and among nonmono
+    # its tail
     slots, kinds, nonslots, gcdslots = bytearray(), bytearray(), bytearray(), bytearray()
     span = len(slot(0))
-    tops = [0, 0]
     heap = []         # (lcm key, kind, i, j): pairs, and field tasks of kind 1
 
     def update(element):
@@ -774,6 +773,10 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         if t + 1 > max_basis:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"basis cap exceeded ({max_basis})", stats)
+        # the width rule: full-mode fields hold twice the degree of every lm
+        d = degree(element[0])
+        if not pk.boolean and 2 * d > pk.fmax:
+            raise _Overflow(d)
         red.extend([element])
         lmf, tailf = lms[t], tails[t]
         monomial = not tailf
@@ -783,12 +786,6 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         # monomials is zero, so such a pair counts as processed unformed
         partners = nonmono if monomial else range(t)
         stats.pairs_monomial += t - len(partners)
-        # no lcm of degree past fmax may enter the batch: test the bound
-        # first, and each partner's lcm only when it fails
-        d = degree(lmf)
-        if not pk.boolean and d + tops[monomial] > pk.fmax:
-            for lm in map(lms.__getitem__, partners):
-                lcm(lm, lmf)  # raises _Overflow
         # every partner's excess e = lcm/lm_f in one batch, and the excesses
         # of the pairs known to reduce to zero, whose gcd g = lm_i/e divides
         # a bound: the monomial criterion bounds g by the gcd of the
@@ -834,7 +831,6 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
                     heapq.heappush(heap, (key(lmf), 1, t, v))
         s = slot(lmf)
         slots.extend(s)
-        tops[0] = max(tops[0], d)
         if monomial:
             kinds.extend(b"\xff" * span)
         else:
@@ -842,7 +838,6 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             nonmono.append(t)
             nonslots.extend(s)
             gcdslots.extend(slot(gcdf))
-            tops[1] = max(tops[1], d)
         if stats.pairs_queued > max_pairs:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"pair cap exceeded ({max_pairs})", stats)

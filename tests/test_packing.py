@@ -143,7 +143,8 @@ EXCESS_CASES = [(mode, order, 3, nvars) for mode, order in CASES for nvars in (3
 def test_batched_excesses_match_the_scalar_kernels(mode, order, degree, nvars):
     # every partner's excess quo(lcm(a, f), f) and its criterion flag,
     # gcd(a, f) | bound, in one batch, against the scalar kernels; lcm
-    # degrees and single exponents reach fmax, as overflow is tested first
+    # degrees and single exponents reach fmax, the most the width rule
+    # lets an lcm of two leading monomials reach
     rng = random.Random(31)
     pk = groebner._Packing(nvars, mode, order, degree)
     fmax = pk.fmax
@@ -261,6 +262,49 @@ def test_high_exponents_are_exact():
     assert sorted(format_poly(f) for f in basis) == [
         "x1*y1^299+z1", "x1^299*z1+y1^300", "x1^300+y1", "y1^599+x1^298*z1^2"]
     assert is_groebner_basis(list(basis), DEGLEX)
+
+
+# inputs whose bases grow leading monomials past half the fields their
+# inputs get: those of the three tests above, and one that reaches degree
+# 71 while every lcm of its basis still fits one-byte fields
+HIGH_DEGREE = [("x1^63+y1", "x1*y1^62+z1"),
+               ("x1^14*y1^7*z1^15", "x1^5*y1^9*z1^41+x1^2*y1^28*z1^6"),
+               ("x1^300+y1", "x1*y1^299+z1"),
+               ("x1*z1+1+y1^2", "x1^2+x1^35*y1")]
+
+
+def _run(F):
+    """The raw and reduced dumps of F's basis and the engine's counters."""
+    raw, stats = buchberger(F)
+    counters = {k: v for k, v in vars(stats).items() if k != "wall_time"}
+    return dump_basis(raw), dump_basis(interreduce(raw)), counters
+
+
+@pytest.mark.parametrize("gens", HIGH_DEGREE)
+def test_fields_hold_twice_every_leading_degree(gens):
+    # the width rule, read off the raw basis's own reducer; the predicates
+    # take the bases themselves, as a list would be packed anew
+    raw, _ = buchberger(GeneratorSet([parse_poly(p, 1) for p in gens], DEGLEX))
+    red = raw._reducer
+    assert 2 * max(map(red.pk.degree, red.lms)) <= red.pk.fmax
+    assert is_groebner_basis(raw)
+    assert is_groebner_basis(interreduce(raw), use_criteria=False)
+
+
+@pytest.mark.parametrize("F", [
+    GeneratorSet([parse_poly(p, 1) for p in gens], DEGLEX) for gens in HIGH_DEGREE] + [
+    make_H(3, mode, order) for mode, order in CASES])
+def test_field_width_changes_no_decision(F, monkeypatch):
+    # the engine restarts with wider fields as an element enters; a run
+    # whose full-mode fields start wide never restarts, and decides alike
+    default = _run(F)
+    packing = groebner._Packing
+
+    def wide(nvars, mode, order, degree):
+        return packing(nvars, mode, order, degree if mode == BOOLEAN else 2 ** 70)
+
+    monkeypatch.setattr(groebner, "_Packing", wide)
+    assert _run(F) == default
 
 
 @pytest.mark.parametrize("order", (DEGLEX, DEGREVLEX))
