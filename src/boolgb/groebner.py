@@ -61,15 +61,16 @@ heap holds pair state.  On seeded random systems in 3 or 4 blocks that
 query drops a quarter to a third of the queued pairs; on H(n) it never
 fires.  One cheaper rule goes before it: a task each of whose terms has
 a monomial first divisor reduces to zero in one step, whatever cancels,
-as each term is removed and replaced by nothing.  It counts as a
-reduction to zero with no chain query and no call of `reduce`.  A
-one-term task with no divisor is its own normal form, so after the
-chain query it enters the basis without a reduction.  Neither step adds
-or drops an element, so every basis is the same as with the chain query
-alone.  On full deglex H(8) the rule settles 63,424 of the 70,048
-popped tasks, and 64 reach a reduction.  A popped pair's heap key
-unpacks to lcm_ij, which both the chain check and the pair's
-S-polynomial read, so the pop loop computes no lcm.
+as each term is removed and replaced by nothing.  The reducer's kernel
+`settles` tests it, and such a task counts as a reduction to zero with
+no chain query and no call of `reduce`.  A one-term task with no
+divisor is its own normal form, so after the chain query it enters the
+basis without a reduction.  Neither step adds or drops an element, so
+every basis is the same as with the chain query alone.  On full deglex
+H(8) the rule settles 63,424 of the 70,048 popped tasks, and 64 reach a
+reduction.  A popped pair's heap key unpacks to lcm_ij, which both the
+chain check and the pair's S-polynomial read, so the pop loop computes
+no lcm.
 
 Divisibility searches read one support index (after Roune & Stillman,
 ISSAC 2012), the reducer's: one int column per support bit with a bit
@@ -86,7 +87,11 @@ not grow.
 The one reduction kernel, `reduce`, is bound once per reducer, as a
 closure over the order key, the multiply, the reducer's element lists
 and its memo of first divisors; the engine, `interreduce`,
-`normal_form` and `is_groebner_basis` all call it.
+`normal_form` and `is_groebner_basis` all call it.  The pop loop and
+`is_groebner_basis` ask the settle rule, `settles`, first.  The latter
+reads element j's pairs in one excess batch, as an update does, with the
+packed 1 as every bound: each lcm is lm_j*e, and a gcd dividing 1 flags
+a coprime pair, for its one criterion.  Every basis meets the width rule.
 
 Inside the engine a monomial is one packed Python int (Monagan & Pearce,
 CASC 2007), and an element is its packed terms in descending order:
@@ -444,12 +449,14 @@ def _task_terms(pk, lms, tails, kind, i, j, lcm=None):
     v_j*lm_i = lm_i; a boolean variable is one bit."""
     mul, ti = pk.mul, tails[i]
     if kind:
-        q = 1 << pk.shifts[j]
-        return [lms[i]] + [mul(q, t) for t in ti]
+        return [lms[i], *map(mul, itertools.repeat(1 << pk.shifts[j]), ti)]
     if lcm is None:
         lcm = pk.lcm(lms[i], lms[j])
-    qi, qj = pk.quo(lcm, lms[i]), pk.quo(lcm, lms[j])
-    return [mul(qi, t) for t in ti] + [mul(qj, t) for t in tails[j]]
+    terms = list(map(mul, itertools.repeat(pk.quo(lcm, lms[i])), ti))
+    tj = tails[j]
+    if tj:  # empty when j is a monomial
+        terms += map(mul, itertools.repeat(pk.quo(lcm, lms[j])), tj)
+    return terms
 
 
 def _support_vars(pk, m):
@@ -571,13 +578,14 @@ class _Reducer:
     int) to the elements whose lm has it, bit i for element i.  `extend`
     is the one writer of the columns and `divisors` their one reader.
 
-    Its kernels divisors, find_divisor and reduce are closures bound once
-    per reducer.  They hold its lists, which only grow in place, and no
-    reference to the reducer itself, so a dropped reducer is freed at
-    once rather than by the cycle collector.
+    Its kernels divisors, find_divisor, settles and reduce are closures
+    bound once per reducer.  They hold its lists, which only grow in
+    place, and no reference to the reducer itself, so a dropped reducer is
+    freed at once rather than by the cycle collector.
     """
 
-    __slots__ = ("pk", "lms", "tails", "columns", "divisors", "find_divisor", "reduce")
+    __slots__ = ("pk", "lms", "tails", "columns", "divisors", "find_divisor", "settles",
+                 "reduce")
 
     def __init__(self, pk, elements=()):
         self.pk = pk
@@ -643,6 +651,20 @@ class _Reducer:
                     hits[m] = idx
             return idx
 
+        def settles(terms):
+            """True when every term has a monomial first divisor, so that
+            reduce(terms) is []: each term that does not cancel is removed
+            and replaced by nothing."""
+            for m in terms:
+                i = hit(m)  # the memo inline, as in reduce
+                if i is None:
+                    i = find_divisor(m)
+                    if i < 0:
+                        return False
+                if tails[i]:
+                    return False
+            return True
+
         def reduce(terms):
             """The full normal form of packed terms, descending.
 
@@ -674,7 +696,8 @@ class _Reducer:
                     heappush(heap, -key(mul(q, t)))
             return out
 
-        self.divisors, self.find_divisor, self.reduce = divisors, find_divisor, reduce
+        self.divisors, self.find_divisor = divisors, find_divisor
+        self.settles, self.reduce = settles, reduce
 
 
 def _as_basis(G, order):
@@ -756,7 +779,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     stats = ReductionStats()
 
     red = _Reducer(pk)  # the working elements, lm first
-    lms, tails, reduce = red.lms, red.tails, red.reduce
+    lms, tails, settles, reduce = red.lms, red.tails, red.settles, red.reduce
     find_divisor, divisors = red.find_divisor, red.divisors
     nonmono = []      # indices of the working elements that are not monomials
     # the update's batches: per element, a slot of its leading monomial
@@ -857,19 +880,14 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         k, kind, i, j = heapq.heappop(heap)
         lcm_ij = unkey(k)  # of a field task: lm_i, which it does not read
         terms = _task_terms(pk, lms, tails, kind, i, j, lcm_ij)
-        # every term has a monomial first divisor: zero in one step
-        for m in terms:
-            d = find_divisor(m)
-            if d < 0 or tails[d]:
-                break
-        else:
+        if settles(terms):  # zero in one step
             stats.reductions_to_zero += 1
             continue
         if kind == 0 and chain(i, j, lcm_ij):
             stats.pairs_chain_pruned += 1
             continue
         # a lone term with no divisor is its own normal form
-        r = terms if d < 0 and len(terms) == 1 else reduce(terms)
+        r = terms if len(terms) == 1 and find_divisor(terms[0]) < 0 else reduce(terms)
         if r:
             update(r)
         else:
@@ -926,26 +944,42 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
     implicit field tasks v*f are checked as well.  A pair of two monomials
     (zero S-polynomial) and a field task of a monomial (v*m = m) are never
     formed.
+
+    Element j meets its earlier partners in one batch of the update's
+    excess kernel, with the packed 1 as every bound: it gives each
+    partner's e = lcm/lm_j, so the lcm is lm_j*e, and whether the two
+    leading monomials are coprime.  A task each of whose terms has a
+    monomial first divisor reduces to zero, so `settles` answers it
+    without a reduction; every other task is reduced.
     """
     basis = _as_basis(polys, order)
     if basis is None:
         return True
     red = basis._reducer
-    pk, lms, tails, reduce = red.pk, red.lms, red.tails, red.reduce
-    masks = [pk.support(lm) for lm in lms]
-    nonmono = []  # the non-monomials among elements 0..j-1
-    for j, tail in enumerate(tails):
-        for i in (nonmono if not tail else range(j)):
-            if use_criteria and masks[i] & masks[j] == 0:
+    pk, lms, tails, settles, reduce = red.pk, red.lms, red.tails, red.settles, red.reduce
+    excesses, mul, slot = pk.excesses, pk.mul, pk.slot
+    span = len(slot(0))
+    slots = memoryview(b"".join(map(slot, lms)))  # every leading monomial, one slot each
+    bounds = memoryview(bytes(len(slots)))  # all zero: the packed 1
+    nonmono, nonslots = [], bytearray()  # the non-monomials among 0..j-1
+    for j, (lm, tail) in enumerate(zip(lms, tails)):
+        # a monomial pairs only with the non-monomials
+        partners, part = (range(j), slots[:j * span]) if tail else (nonmono, nonslots)
+        es, coprime = excesses(part, lm, bounds[:len(part)])
+        for i, e, c in zip(partners, es, coprime):
+            if use_criteria and c:
                 continue  # product criterion: provably reduces to zero
-            if reduce(_task_terms(pk, lms, tails, 0, i, j)):
+            terms = _task_terms(pk, lms, tails, 0, i, j, mul(lm, e))
+            if not settles(terms) and reduce(terms):
                 return False
         if not tail:
             continue
         nonmono.append(j)
+        nonslots += slot(lm)
         if pk.boolean:
-            for v in _support_vars(pk, lms[j]):
-                if reduce(_task_terms(pk, lms, tails, 1, j, v)):
+            for v in _support_vars(pk, lm):
+                terms = _task_terms(pk, lms, tails, 1, j, v)
+                if not settles(terms) and reduce(terms):
                     return False
     return True
 

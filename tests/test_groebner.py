@@ -1,5 +1,7 @@
 """Engine behavior: S-polynomials, normal forms, Buchberger, interreduction."""
 
+import collections
+import itertools
 import random
 
 import pytest
@@ -29,6 +31,7 @@ from boolgb import (
     make_H,
     make_S,
     mono_divides,
+    mono_lcm,
     mono_mul,
     normal_form,
     parse_poly,
@@ -280,6 +283,65 @@ def test_is_groebner_basis_small_cases():
     assert not is_groebner_basis([P("x1*y1+z1"), P("y1")], DEGLEX)
     # exhaustive mode agrees
     assert is_groebner_basis(list(make_G(2).polynomials), DEGLEX, use_criteria=False)
+
+
+def reference_is_groebner_basis(G, order):
+    """Buchberger's test by exponent tuples and reference_division alone,
+    with no criterion: the S-polynomial of every two elements and, in
+    boolean mode, v*f for every variable v of every lm f divide to zero
+    by G."""
+    mode, nvars = G[0].mode, G[0].nvars
+    lms = [leading_monomial(g, order) for g in G]
+    tasks = []
+    for a, b in itertools.combinations(range(len(G)), 2):
+        lcm = mono_lcm(lms[a], lms[b])
+        tasks.append(collections.Counter(
+            mono_mul(tuple(x - y for x, y in zip(lcm, lms[k])), t, mode)
+            for k in (a, b) for t in G[k].terms))
+    if mode == BOOLEAN:
+        for f, lm in zip(G, lms):
+            for v in itertools.compress(range(nvars), lm):
+                var = tuple(int(k == v) for k in range(nvars))
+                tasks.append(collections.Counter(mono_mul(var, t, mode) for t in f.terms))
+    return all(reference_division(
+        Polynomial({m for m, c in task.items() if c % 2}, nvars, mode), G, order)[0].is_zero
+        for task in tasks)
+
+
+def _scaled(f, k):
+    """f with every exponent multiplied by k: x_i -> x_i^k maps monomials
+    one to one, keeps both orders and divisibility, and so keeps every
+    division step."""
+    return Polynomial({tuple(k * e for e in m) for m in f.terms}, f.nvars, f.mode)
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_is_groebner_basis_matches_a_tuple_reference(mode, order):
+    # random lists, the engine's bases of random systems, and those bases
+    # less one element; full-mode lists are scaled, some to exponents up
+    # to 40, so that their fields are two bytes wide
+    rng = random.Random(67)
+    answers = collections.Counter()
+    for trial in range(200):
+        nvars = rng.choice((3, 6))
+        pool = random_monomials(rng, nvars, mode, 6, max_exp=2)
+        G = [Polynomial(set(rng.sample(pool, rng.randint(1, 3))), nvars, mode)
+             for _ in range(rng.randint(2, 5))]
+        if trial % 2:
+            try:
+                G = list(buchberger(GeneratorSet(G, order), max_basis=12)[0])
+            except ResourceLimitError:
+                continue
+            if trial % 4 == 3 and len(G) > 1:
+                del G[rng.randrange(len(G))]
+        if mode == FULL:
+            G = [_scaled(g, rng.choice((1, 2, 20))) for g in G]
+        expected = reference_is_groebner_basis(G, order)
+        assert is_groebner_basis(G, order) == expected
+        assert is_groebner_basis(G, order, use_criteria=False) == expected
+        answers[expected] += 1
+    # 466 of the 780 lists, over the four cases, are no Groebner basis
+    assert answers[False] > 80 and answers[True] > 40
 
 
 def test_is_reduced_basis_boundary():

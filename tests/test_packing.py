@@ -274,10 +274,16 @@ HIGH_DEGREE = [("x1^63+y1", "x1*y1^62+z1"),
 
 
 def _run(F):
-    """The raw and reduced dumps of F's basis and the engine's counters."""
+    """The raw and reduced dumps of F's basis, the engine's counters, and
+    is_groebner_basis on lists packed anew: F's generators, the elements
+    of both bases, and the reduced basis less its first element."""
     raw, stats = buchberger(F)
+    reduced = interreduce(raw)
     counters = {k: v for k, v in vars(stats).items() if k != "wall_time"}
-    return dump_basis(raw), dump_basis(interreduce(raw)), counters
+    answers = [is_groebner_basis(list(G), F.order, use_criteria)
+               for G in (F, raw, reduced, list(reduced)[1:])
+               for use_criteria in (True, False)]
+    return dump_basis(raw), dump_basis(reduced), counters, answers
 
 
 @pytest.mark.parametrize("gens", HIGH_DEGREE)
@@ -296,8 +302,12 @@ def test_fields_hold_twice_every_leading_degree(gens):
     make_H(3, mode, order) for mode, order in CASES])
 def test_field_width_changes_no_decision(F, monkeypatch):
     # the engine restarts with wider fields as an element enters; a run
-    # whose full-mode fields start wide never restarts, and decides alike
+    # whose full-mode fields start wide never restarts, and decides alike.
+    # The predicate's batches read every lcm in the fields of a list's own
+    # packing (x1^63*y1^62 in one-byte fields for the first input), and
+    # answer alike in fields wide from the start
     default = _run(F)
+    assert default[3][2:6] == [True] * 4 and False in default[3]
     packing = groebner._Packing
 
     def wide(nvars, mode, order, degree):
