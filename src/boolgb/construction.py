@@ -90,12 +90,12 @@ def make_T(n: int, mode: str = FULL):
     return out
 
 
-def make_P(n: int, mode: str = FULL, max_n: int = DEFAULT_MAX_N):
+def make_P(n: int, mode: str = FULL):
     """All 3^n products c_1*...*c_n, c_i in {x_i, y_i, z_i}, enumerated in
     lexicographic choice order (x before y before z in each block)."""
     _check_n(n)
-    if n > max_n:
-        raise ResourceLimitError(f"P({n}) has 3^{n} elements; cap is n <= {max_n}")
+    if n > DEFAULT_MAX_N:
+        raise ResourceLimitError(f"P({n}) has 3^{n} elements; cap is n <= {DEFAULT_MAX_N}")
     nv = num_vars(n)
     out = []
     choices = [(var_flat("x", i), var_flat("y", i), var_flat("z", i))
@@ -132,12 +132,11 @@ def make_H(n: int, mode: str = FULL, order: MonomialOrder = DEGLEX) -> Generator
     return GeneratorSet(polys, order)
 
 
-def make_G(n: int, mode: str = FULL, order: MonomialOrder = DEGLEX,
-           max_n: int = DEFAULT_MAX_N) -> GeneratorSet:
+def make_G(n: int, mode: str = FULL, order: MonomialOrder = DEGLEX) -> GeneratorSet:
     """G(n) = S + L + T + P; 6n+3^n generators in full mode.
 
     P comes first, so that past its cap nothing else is built."""
-    P = make_P(n, mode, max_n=max_n)
+    P = make_P(n, mode)
     S = make_S(n) if mode == FULL else []
     return GeneratorSet(S + make_L(n, mode) + make_T(n, mode) + P, order)
 

@@ -33,11 +33,13 @@ new leading monomial, as lcm_a | lcm_b exactly when e_a | e_b, and
 computes all of them in one batch (`_Packing.excesses`, after the
 guard-bit arithmetic of Monagan & Pearce): the partners' leading
 monomials sit back to back in fixed-width slots of a bytearray that the
-update appends to, one for all elements and one for the non-monomials,
-and some twenty big-int operations over those slots give every
-excess and, per slot, whether the pair's gcd lm_i/e divides its bound.
-That is the criteria: the monomial criterion bounds the gcd by the gcd
-of the non-monomial's tail (kept in a parallel bytearray), the product
+update appends to, one for all elements and one for the non-monomials.
+One kernel serves both ring modes around a per-mode core of a few
+big-int operations, which gives every excess and, per slot, the bits of
+the pair's gcd lm_i/e outside its bound; a carry per slot turns those
+into a flag, set where the gcd divides the bound.  That is the
+criteria: the monomial criterion bounds the gcd by the gcd of the
+non-monomial's tail (kept in a parallel bytearray), the product
 criterion by 1 (e = lm_i).  A dict from each excess to its lowest
 partner forms the groups, so the Python loop sees only the distinct
 excesses.  If some e is 1 (a partner's lm divides lm_f), that lcm is the
@@ -258,13 +260,14 @@ class _Packing:
     The batch kernels work on runs of slots: slot(m) is m as the bytes of
     one fixed-width, little-endian slot (full mode: the variable fields
     and an empty degree field; Boolean mode: padded to 1, 2, 4 or 8
-    bytes, past the variables).  excesses(slots, f, bounds, g=None)
-    reads k monomials a_i from slots and k bounds h_i from bounds (each
-    ANDed with g if given) and returns the list of quo(lcm(a_i, f), f)
-    and k bytes, 1 where gcd(a_i, f) divides h_i.  Full mode computes
-    lcm's guard-bit selection over all slots at once and fills each
-    degree field with one multiply by `ones`, which the width rule keeps
-    within fmax.
+    bytes, past the variables).  excesses(slots, f, bounds=b"", g=None)
+    reads k monomials a_i from slots and k bounds h_i from bounds (the
+    packed 1 if none, each ANDed with g if given) and returns the list of
+    quo(lcm(a_i, f), f) and k bytes, 1 where gcd(a_i, f) divides h_i.
+    Each mode gives it only a core over the whole run as ints, which
+    returns the excesses and the bits of each gcd outside its bound; the
+    full core is lcm's guard-bit selection, with each degree field filled
+    by one multiply by `ones`, which the width rule keeps within fmax.
     """
 
     __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key", "unkey",
@@ -322,112 +325,106 @@ class _Packing:
             # slots of 1, 2, 4 or 8 bytes, split in one cast, with a spare
             # top bit above the variables
             span = next((s for s in (1, 2, 4, 8) if 8 * s > nvars), nvars // 8 + 1)
-            split = _splitter(span)
-            lows = ((1 << 8 * span - 1) - 1).to_bytes(span, "little")
-            self.slot = lambda m: m.to_bytes(span, "little")
 
-            def excesses(slots, f, bounds, g=None):
-                k = len(slots) // span
-                a = int.from_bytes(slots, "little")
-                fs = int.from_bytes(f.to_bytes(span, "little") * k, "little")
-                h = int.from_bytes(bounds, "little")
-                if g is not None:
-                    h &= int.from_bytes(g.to_bytes(span, "little") * k, "little")
-                # the gcd a_i & f divides h_i iff it has no bit outside h_i,
-                # that is iff adding the bits below the top leaves it clear
-                s = (a & fs & ~h) + int.from_bytes(lows * k, "little")
-                return (split((a & ~fs).to_bytes(len(slots), "little")),
-                        s.to_bytes(len(slots), "little")[span - 1::span].translate(_CLEAR))
+            def slot(m):
+                return m.to_bytes(span, "little")
 
-            self.excesses = excesses
-            return
-
-        if nbytes in _STRUCT_CODES:
-            # fields of 1, 2, 4 or 8 bytes: one struct call per monomial
-            byteorder = "big" if deglex else "little"
-            fields = struct.Struct(
-                (">" if deglex else "<") + str(nvars) + _STRUCT_CODES[nbytes])
-            size = nbytes * nvars
-
-            def pack(m):
-                d = sum(m)
-                if d > fmax:
-                    raise _Overflow(d)
-                return int.from_bytes(fields.pack(*m), byteorder) | (d << dshift)
-
-            def unpack(p):
-                return fields.unpack((p & vars_mask).to_bytes(size, byteorder))
+            def core(a, fs, h, k):
+                # the excesses a_i & ~f; the bits of the gcd a_i & f outside h_i
+                return a & ~fs, a & fs & ~h
         else:
-            def pack(m):
-                d = sum(m)
-                if d > fmax:
-                    raise _Overflow(d)
-                return sum(map(operator.lshift, m, shifts)) | (d << dshift)
+            if nbytes in _STRUCT_CODES:
+                # fields of 1, 2, 4 or 8 bytes: one struct call per monomial
+                byteorder = "big" if deglex else "little"
+                fields = struct.Struct(
+                    (">" if deglex else "<") + str(nvars) + _STRUCT_CODES[nbytes])
+                size = nbytes * nvars
 
-            def unpack(p):
-                return tuple((p >> s) & fmax for s in shifts)
+                def pack(m):
+                    d = sum(m)
+                    if d > fmax:
+                        raise _Overflow(d)
+                    return int.from_bytes(fields.pack(*m), byteorder) | (d << dshift)
 
-        low = width - 1
-        ones = sum(1 << s for s in shifts)
-        guard = sum(1 << (s + low) for s in shifts) | (1 << (dshift + low))
-        values = ones * fmax  # every value bit of every variable field
-        flip = 0 if deglex else values
-        top = width * (nvars - 1)
-        field = (1 << width) - 1
+                def unpack(p):
+                    return fields.unpack((p & vars_mask).to_bytes(size, byteorder))
+            else:
+                def pack(m):
+                    d = sum(m)
+                    if d > fmax:
+                        raise _Overflow(d)
+                    return sum(map(operator.lshift, m, shifts)) | (d << dshift)
 
-        def lcm(a, b):
-            ge = ((a | guard) - b) & guard  # guard bits where a_i >= b_i
-            sel = ge - (ge >> low)          # value bits of those fields
-            v = ((a & sel) | (b & ~sel)) & vars_mask
-            # the sum of the variable fields, at most fmax by the width rule
-            return v | (((v * ones >> top) & field) << dshift)
+                def unpack(p):
+                    return tuple((p >> s) & fmax for s in shifts)
 
-        def gcd(a, b):
-            # min = a + b - max, field by field: a + b carries nowhere, as
-            # each is of degree at most fmax/2
-            return a + b - lcm(a, b)
+            low = width - 1
+            ones = sum(1 << s for s in shifts)
+            guard = sum(1 << (s + low) for s in shifts) | (1 << (dshift + low))
+            values = ones * fmax  # every value bit of every variable field
+            flip = 0 if deglex else values
+            top = width * (nvars - 1)
+            field = (1 << width) - 1
 
-        self.pack = pack
-        self.unpack = unpack
-        self.key = self.unkey = flip.__xor__
-        self.degree = lambda m: m >> dshift
-        self.divides = lambda a, b: ((b | guard) - a) & guard == guard
-        self.any_divides = lambda ms, b: guard in map(
-            guard.__and__, map((b | guard).__sub__, ms))
-        self.lcm = lcm
-        self.gcd = gcd
-        self.mul = int.__add__
-        # one guard bit per nonzero variable field: a spread support mask
-        self.support = lambda m: (m + values) & guard & vars_mask
+            def lcm(a, b):
+                ge = ((a | guard) - b) & guard  # guard bits where a_i >= b_i
+                sel = ge - (ge >> low)          # value bits of those fields
+                v = ((a & sel) | (b & ~sel)) & vars_mask
+                # the sum of the variable fields, at most fmax by the width rule
+                return v | (((v * ones >> top) & field) << dshift)
 
-        # a slot holds the variable fields and an empty degree field, so
-        # that a subtraction of slots borrows across no slot
-        span = nbytes * (nvars + 1)
+            def gcd(a, b):
+                # min = a + b - max, field by field: a + b carries nowhere, as
+                # each is of degree at most fmax/2
+                return a + b - lcm(a, b)
+
+            self.pack = pack
+            self.unpack = unpack
+            self.key = self.unkey = flip.__xor__
+            self.degree = lambda m: m >> dshift
+            self.divides = lambda a, b: ((b | guard) - a) & guard == guard
+            self.any_divides = lambda ms, b: guard in map(
+                guard.__and__, map((b | guard).__sub__, ms))
+            self.lcm = lcm
+            self.gcd = gcd
+            self.mul = int.__add__
+            # one guard bit per nonzero variable field: a spread support mask
+            self.support = lambda m: (m + values) & guard & vars_mask
+
+            # a slot holds the variable fields and an empty degree field, so
+            # that a subtraction of slots borrows across no slot
+            span = nbytes * (nvars + 1)
+            guards = (guard & vars_mask).to_bytes(span, "little")
+            degrees = (fmax << dshift).to_bytes(span, "little")
+
+            def slot(m):
+                return (m & vars_mask).to_bytes(span, "little")
+
+            def core(a, fs, h, k):
+                gs = int.from_bytes(guards * k, "little")
+                d = (a | gs) - fs
+                ge = d & gs                       # guard bits where a_i >= f_i
+                v = d & (ge - (ge >> low))        # there a_i - f_i, elsewhere 0
+                # the excesses, each degree summed at `top` by one multiply;
+                # the guard bits of the gcd a_i - v_i's fields above h_i's
+                return (v | v * ones << width & int.from_bytes(degrees * k, "little"),
+                        ((h | gs) - (a - v)) & gs ^ gs)
+
         split = _splitter(span)
-        guards = (guard & vars_mask).to_bytes(span, "little")
         lows = ((1 << 8 * span - 1) - 1).to_bytes(span, "little")
-        degrees = (fmax << dshift).to_bytes(span, "little")
 
-        def slot(m):
-            return (m & vars_mask).to_bytes(span, "little")
-
-        def excesses(slots, f, bounds, g=None):
-            k = len(slots) // span
-            gs = int.from_bytes(guards * k, "little")
-            a = int.from_bytes(slots, "little")
-            d = (a | gs) - int.from_bytes(slot(f) * k, "little")
-            ge = d & gs                       # guard bits where a_i >= f_i
-            v = d & (ge - (ge >> low))        # there a_i - f_i, elsewhere 0
+        def excesses(slots, f, bounds=b"", g=None):
+            size = len(slots)
+            k = size // span
             h = int.from_bytes(bounds, "little")
             if g is not None:
                 h &= int.from_bytes(slot(g) * k, "little")
-            # the gcd a_i - v_i divides h_i iff no field of it is larger,
-            # that is iff adding the bits below the top leaves it clear
-            s = (((h | gs) - (a - v)) & gs ^ gs) + int.from_bytes(lows * k, "little")
-            # each slot's degree: its fields summed at `top` by one multiply
-            v |= v * ones << width & int.from_bytes(degrees * k, "little")
-            return (split(v.to_bytes(len(slots), "little")),
-                    s.to_bytes(len(slots), "little")[span - 1::span].translate(_CLEAR))
+            es, outside = core(int.from_bytes(slots, "little"),
+                               int.from_bytes(slot(f) * k, "little"), h, k)
+            # the gcd divides h_i iff it has nothing outside h_i, that is iff
+            # adding the bits below the slot's top bit leaves that bit clear
+            s = (outside + int.from_bytes(lows * k, "little")).to_bytes(size, "little")
+            return split(es.to_bytes(size, "little")), s[span - 1::span].translate(_CLEAR)
 
         self.slot = slot
         self.excesses = excesses
@@ -440,18 +437,16 @@ class _Packing:
         return frozenset(map(self.unpack, terms))
 
 
-def _task_terms(pk, lms, tails, kind, i, j, lcm=None):
+def _task_terms(pk, lms, tails, kind, i, j, lcm):
     """Packed terms of one task on elements lms[k] + tails[k], as a list
     whose repeated monomials still have to cancel mod 2.  Kind 0: the
     S-polynomial of elements i and j, qi*tail_i + qj*tail_j, as the two
-    lcm terms cancel; lcm is lcm(lm_i, lm_j) if the caller has it.
-    Kind 1: the Boolean field task v_j*f_i = lm_i + v_j*tail_i, as
-    v_j*lm_i = lm_i; a boolean variable is one bit."""
+    lcm terms cancel; lcm is lcm(lm_i, lm_j).  Kind 1: the Boolean field
+    task v_j*f_i = lm_i + v_j*tail_i, as v_j*lm_i = lm_i; lcm is lm_i,
+    and a boolean variable is one bit."""
     mul, ti = pk.mul, tails[i]
     if kind:
-        return [lms[i], *map(mul, itertools.repeat(1 << pk.shifts[j]), ti)]
-    if lcm is None:
-        lcm = pk.lcm(lms[i], lms[j])
+        return [lcm, *map(mul, itertools.repeat(1 << pk.shifts[j]), ti)]
     terms = list(map(mul, itertools.repeat(pk.quo(lcm, lms[i])), ti))
     tj = tails[j]
     if tj:  # empty when j is a monomial
@@ -743,7 +738,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGLEX) ->
     _check_compatible(f, g)
     pk = _Packing(f.nvars, f.mode, order, max(f.degree(), g.degree()))
     (lf, *tf), (lg, *tg) = pk.pack_element(f.terms), pk.pack_element(g.terms)
-    s = _sum_mod2(_task_terms(pk, [lf, lg], [tf, tg], 0, 0, 1))
+    s = _sum_mod2(_task_terms(pk, [lf, lg], [tf, tg], 0, 0, 1, pk.lcm(lf, lg)))
     return Polynomial(pk.unpack_terms(s), f.nvars, f.mode)
 
 
@@ -878,7 +873,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
 
     while heap:
         k, kind, i, j = heapq.heappop(heap)
-        lcm_ij = unkey(k)  # of a field task: lm_i, which it does not read
+        lcm_ij = unkey(k)  # of a field task: lm_i
         terms = _task_terms(pk, lms, tails, kind, i, j, lcm_ij)
         if settles(terms):  # zero in one step
             stats.reductions_to_zero += 1
@@ -960,12 +955,11 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
     excesses, mul, slot = pk.excesses, pk.mul, pk.slot
     span = len(slot(0))
     slots = memoryview(b"".join(map(slot, lms)))  # every leading monomial, one slot each
-    bounds = memoryview(bytes(len(slots)))  # all zero: the packed 1
     nonmono, nonslots = [], bytearray()  # the non-monomials among 0..j-1
     for j, (lm, tail) in enumerate(zip(lms, tails)):
         # a monomial pairs only with the non-monomials
         partners, part = (range(j), slots[:j * span]) if tail else (nonmono, nonslots)
-        es, coprime = excesses(part, lm, bounds[:len(part)])
+        es, coprime = excesses(part, lm)  # no bound: the packed 1
         for i, e, c in zip(partners, es, coprime):
             if use_criteria and c:
                 continue  # product criterion: provably reduces to zero
@@ -978,7 +972,7 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
         nonslots += slot(lm)
         if pk.boolean:
             for v in _support_vars(pk, lm):
-                terms = _task_terms(pk, lms, tails, 1, j, v)
+                terms = _task_terms(pk, lms, tails, 1, j, v, lm)
                 if not settles(terms) and reduce(terms):
                     return False
     return True

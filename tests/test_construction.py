@@ -104,9 +104,6 @@ def test_make_P_enumeration_order():
 def test_make_P_cap():
     with pytest.raises(ResourceLimitError):
         make_P(13)
-    assert len(make_P(3, max_n=3)) == 27
-    with pytest.raises(ResourceLimitError):
-        make_P(4, max_n=3)
 
 
 def test_make_H_counts():

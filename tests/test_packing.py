@@ -188,6 +188,10 @@ def test_batched_excesses_match_the_scalar_kernels(mode, order, degree, nvars):
         es, known = pk.excesses(slots, pf, b"".join(map(pk.slot, bounds)))
         assert es == expected
         assert list(known) == [pk.divides(g, h) for g, h in zip(gcds, bounds)]
+        # no bounds: every bound is the packed 1, the product criterion
+        es, coprime = pk.excesses(slots, pf)
+        assert es == expected
+        assert list(coprime) == [pk.divides(g, 0) for g in gcds]
         # the bounds ANDed with a monomial g: all ones keeps g, zero gives 1
         g = monomial(f if mode == BOOLEAN else spread(rng, rng.randint(0, fmax), nvars))
         keep = [rng.randint(0, 1) for _ in partners]
