@@ -33,26 +33,45 @@ new leading monomial, as lcm_a | lcm_b exactly when e_a | e_b, and
 computes all of them in one batch (`_Packing.excesses`, after the
 guard-bit arithmetic of Monagan & Pearce): the partners' leading
 monomials sit back to back in fixed-width slots of a bytearray that the
-update appends to, one for all elements and one for the non-monomials.
-One kernel serves both ring modes around a per-mode core of a few
-big-int operations, which gives every excess and, per slot, the bits of
-the pair's gcd lm_i/e outside its bound; a carry per slot turns those
-into a flag, set where the gcd divides the bound.  That is the
+update appends to: one for all elements, one for the non-monomials and
+one for the uncovered ones (below).  One kernel serves both ring modes
+around a per-mode core of a few big-int operations, which gives every
+excess and, per slot, the bits of the pair's gcd lm_i/e outside its
+bound; a carry per slot turns those into a flag, set where the gcd
+divides the bound.  That is the
 criteria: the monomial criterion bounds the gcd by the gcd of the
 non-monomial's tail (kept in a parallel bytearray), the product
-criterion by 1 (e = lm_i).  A dict from each excess to its lowest
-partner forms the groups, so the Python loop sees only the distinct
-excesses.  If some e is 1 (a partner's lm divides lm_f), that lcm is the
-only minimal one.  Otherwise an excess of degree 1 is one variable,
-which no other excess properly divides and which divides exactly the
-excesses that contain it: those variables are minimal, and one AND with
-the mask of their exponent fields prunes every excess that contains
-one.  Only the few left (594 of 26,868 lcms on full deglex H(6)) are
-checked among themselves, a level against the minimal ones of lower
+criterion by 1 (e = lm_i).  Partners of one excess form a group.  If
+some e is 1 (a partner's lm divides lm_f), that lcm is the only minimal
+one.  Otherwise an excess of degree 1 is one variable, which no other
+excess properly divides and which divides exactly the excesses that
+contain it: those variables are minimal, and one AND with the mask of
+their exponent fields prunes every excess that contains one.  Only the
+few left, as one set (582 of 13,746 distinct lcms on full deglex H(6)),
+are checked among themselves, a level against the minimal ones of lower
 degree, as two distinct monomials of one degree never divide each
-other.  A batch holds no lcm of degree past the fields, by the width
+other.  The lowest partner of a group is looked up only when it queues
+a pair.  A batch holds no lcm of degree past the fields, by the width
 rule below: the update admits lm_f only when the fields hold twice its
 degree, and every partner was admitted so.
+
+Call a non-monomial f covered when every variable of lm f divides the
+gcd of its tail, as each x^2 + x in the full ring; then lm f has an
+exponent of at least 2, or it would divide its own smaller tail.  A
+squarefree monomial m may leave such partners out of its update:
+- the pair is known zero: gcd(m, lm f) is squarefree, so it divides
+  the radical of lm f, which divides the tail's gcd;
+- f's excess lm f/gcd(m, lm f) keeps an exponent of at least 1 where
+  lm f has one of at least 2, so it divides no excess of a partner
+  whose leading monomial is squarefree.
+So while every uncovered non-monomial has a squarefree leading monomial
+(a flag that turns off for good, as elements never leave), m's batch
+reads only the uncovered ones, from their own slots and tail gcds, and
+the others still count as skipped by the criteria.  The flag is needed:
+for m = x1, the covered x1^2 + x1 has the excess x1, which divides the
+excess x1*y1 of x1^2*y1 + z1 and so prunes that pair.  No Boolean
+element is covered and every Boolean monomial is squarefree, so both
+modes take one path.
 
 The chain criterion drops a queued pair (i, j) as it pops when some
 element t > j, so added since the pair was queued, has lm_t | lcm_ij
@@ -765,7 +784,7 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
 
 
 def _buchberger(F, pk, max_pairs, max_basis, t0):
-    key, unkey, degree, lcm = pk.key, pk.unkey, pk.degree, pk.lcm
+    key, unkey, degree, lcm, support = pk.key, pk.unkey, pk.degree, pk.lcm, pk.support
     any_divides, mul, slot, excesses = pk.any_divides, pk.mul, pk.slot, pk.excesses
     # each packed variable, a monomial of degree 1, and the bits of its field
     nvars = len(pk.shifts)
@@ -777,16 +796,20 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     lms, tails, settles, reduce = red.lms, red.tails, red.settles, red.reduce
     find_divisor, divisors = red.find_divisor, red.divisors
     nonmono = []      # indices of the working elements that are not monomials
+    uncovered = []    # those of nonmono that are not covered
     # the update's batches: per element, a slot of its leading monomial
     # (slots) and one of all ones for a monomial, the packed 1 otherwise
-    # (kinds); per element of nonmono, its leading monomial and the gcd of
-    # its tail
+    # (kinds); per element of nonmono, and again per element of uncovered,
+    # its leading monomial and the gcd of its tail
     slots, kinds, nonslots, gcdslots = bytearray(), bytearray(), bytearray(), bytearray()
+    unslots, ungcdslots = bytearray(), bytearray()
+    squarefree = True  # while every uncovered lm is squarefree; never on again
     span = len(slot(0))
     heap = []         # (lcm key, kind, i, j): pairs, and field tasks of kind 1
 
     def update(element):
         """Gebauer-Moeller insertion of a new element, given lm first."""
+        nonlocal squarefree
         t = len(lms)
         if t + 1 > max_basis:
             stats.wall_time = time.perf_counter() - t0
@@ -798,45 +821,51 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         red.extend([element])
         lmf, tailf = lms[t], tails[t]
         monomial = not tailf
+        # lm f is squarefree when its degree is the size of its support
+        sqfree = degree(lmf) == support(lmf).bit_count()
 
         stats.pairs_generated += t
         # a monomial pairs only with non-monomials: the S-polynomial of two
         # monomials is zero, so such a pair counts as processed unformed
         partners = nonmono if monomial else range(t)
         stats.pairs_monomial += t - len(partners)
+        formed = len(partners)
         # every partner's excess e = lcm/lm_f in one batch, and the excesses
         # of the pairs known to reduce to zero, whose gcd g = lm_i/e divides
         # a bound: the monomial criterion bounds g by the gcd of the
-        # non-monomial's tail, the product criterion by 1
-        if monomial:
-            es, known = excesses(nonslots, lmf, gcdslots)
-        else:
+        # non-monomial's tail, the product criterion by 1.  A squarefree
+        # monomial leaves out the covered partners while every uncovered lm
+        # is squarefree (see the module docstring)
+        if not monomial:
             gcdf = functools.reduce(pk.gcd, tailf)
             es, known = excesses(slots, lmf, kinds, gcdf)
-        # each excess and its lowest partner: pairs of one lcm form a group
-        first = dict(zip(reversed(es), reversed(partners)))
+        elif squarefree and sqfree:
+            partners = uncovered
+            es, known = excesses(unslots, lmf, ungcdslots)
+        else:
+            es, known = excesses(nonslots, lmf, gcdslots)
         zero = set(itertools.compress(es, known))
         # one representative per minimal lcm, found by excess (see the
         # module docstring): the variables among the excesses are minimal,
         # the mask of their fields prunes every excess that contains one,
         # and the rest are checked level by level among themselves
-        if 0 in first:  # the packed 1: lm_i | lm_f
+        if 0 in es:  # the packed 1: lm_i | lm_f
             minimal = [0]
         else:
-            minimal = list(first.keys() & fields.keys())
+            minimal = list(fields.keys() & es)
             ones = functools.reduce(operator.or_, map(fields.get, minimal), 0)
-            rest = sorted(itertools.filterfalse(ones.__and__, first), key=key)
+            rest = sorted(set(itertools.filterfalse(ones.__and__, es)), key=key)
             others = []
             for _, level in itertools.groupby(rest, degree):
                 others += [e for e in level if not any_divides(others, e)]
             minimal += others
-        # a group with one member known to reduce to zero queues no pair
+        # a group of pairs with one lcm queues its lowest partner, unless a
+        # member is known to reduce to zero; every other partner is pruned
         queued = [e for e in minimal if e not in zero]
         for e in queued:
-            heapq.heappush(heap, (key(mul(lmf, e)), 0, first[e], t))
-        # a group queues at most one pair; every other partner is pruned
+            heapq.heappush(heap, (key(mul(lmf, e)), 0, partners[es.index(e)], t))
         stats.pairs_queued += len(queued)
-        stats.pairs_skipped_by_criteria += len(partners) - len(queued)
+        stats.pairs_skipped_by_criteria += formed - len(queued)
 
         if pk.boolean:
             support_vars = _support_vars(pk, lmf)
@@ -855,7 +884,14 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             kinds.extend(bytes(span))
             nonmono.append(t)
             nonslots.extend(s)
-            gcdslots.extend(slot(gcdf))
+            g = slot(gcdf)
+            gcdslots.extend(g)
+            # uncovered: some variable of lm f is not in the gcd of its tail
+            if support(lmf) & ~support(gcdf):
+                uncovered.append(t)
+                unslots.extend(s)
+                ungcdslots.extend(g)
+                squarefree &= sqfree
         if stats.pairs_queued > max_pairs:
             stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"pair cap exceeded ({max_pairs})", stats)

@@ -601,13 +601,28 @@ def _random_dump_systems(count):
 def test_update_queues_the_reference_pairs(monkeypatch):
     # every pair the engine queues, update by update, against the brute
     # force over the same elements in the order they entered.  Of the
-    # 2,348 updates here, 55 (all in the random systems) have a partner lm
+    # 2,366 updates here, 55 (all in the random systems) have a partner lm
     # that divides lm_f, so that lcm is the only minimal one.  In 591 the
     # mask of the variables among the excesses leaves some lcms over, and
     # the levelled scan among those prunes 75 lcms in 55 updates of the
-    # random systems and none on H(n)
-    pushes, built = [], []
+    # random systems and none on H(n).  The two small systems have covered
+    # elements: in the first, x1's batch keeps the covered x1^2+x1, whose
+    # lcm prunes the uncovered x1^2*y1+z1's; in the second, x1*z1 and
+    # x1*y1 leave the covered x1^2*y1+x1*y1 out, and x1^2 keeps it
+    pushes, built, batches = [], [], []
     heappush = groebner.heapq.heappush
+    init = groebner._Packing.__init__
+
+    def recording_init(pk, *args):
+        init(pk, *args)
+        excesses, span = pk.excesses, len(pk.slot(0))
+
+        def recording_excesses(slots, f, bounds=b"", g=None):
+            if g is None:  # a monomial's batch: no tail gcd to AND in
+                batches.append(len(slots) // span)
+            return excesses(slots, f, bounds, g)
+
+        pk.excesses = recording_excesses
 
     def recording_push(heap, item):
         if type(item) is tuple and item[1] == 0:
@@ -622,11 +637,19 @@ def test_update_queues_the_reference_pairs(monkeypatch):
     monkeypatch.setattr(groebner, "heapq", types.SimpleNamespace(
         heappush=recording_push, heappop=heapq.heappop, heapify=heapq.heapify))
     monkeypatch.setattr(groebner.GroebnerBasis, "_build", recording_build)
+    monkeypatch.setattr(groebner._Packing, "__init__", recording_init)
     systems = [make_H(n, mode, order) for n in range(2, 6) for mode, order in CASES]
+    systems += [GeneratorSet([parse_poly(p, 1, FULL) for p in text.split(", ")], order)
+                for text in ("x1^2+x1, x1^2*y1+z1, x1", "x1^2*y1+x1*y1, y1*z1+x1, x1*z1")
+                for order in (DEGLEX, DEGREVLEX)]
     updates = 0
     for F in systems + list(_random_dump_systems(60)):
-        del pushes[:], built[:]
+        del pushes[:], built[:], batches[:]
         buchberger(F)
+        if (F.n, F.mode, F.order) == (5, FULL, DEGLEX):
+            # H(5): a monomial's batch skips the 15 covered x^2+x of its
+            # 30 non-monomials
+            assert max(batches) <= 15
         (pk, elements), = built  # the working elements, in the order they entered
         by_update = collections.defaultdict(set)
         for push in pushes:
@@ -635,7 +658,7 @@ def test_update_queues_the_reference_pairs(monkeypatch):
         for t in range(len(elements)):
             assert by_update[t] == _reference_update(pk, elements, t), (F, t)
         updates += len(elements)
-    assert updates == 2348
+    assert updates == 2366
 
 
 @pytest.mark.parametrize("mode,order", CASES)
@@ -680,3 +703,42 @@ def test_monomial_pair_criterion_is_sound(mode, order):
             2 if mode == BOOLEAN else 0, 1)
         assert raw.as_set() == {f, m}
 
+
+@pytest.mark.parametrize("order", [DEGLEX, DEGREVLEX])
+def test_a_squarefree_monomial_may_skip_covered_partners(order):
+    # f is covered when every variable of lm f divides the gcd of its
+    # tail.  For a squarefree monomial m, gcd(m, lm f) is squarefree, so
+    # the pair is known to reduce to zero; and lm f has an exponent of at
+    # least 2, which f's excess keeps, so it divides no excess of a
+    # partner g with a squarefree lm, and prunes none of their lcms
+    rng = random.Random(43)
+    nvars = 6
+    pk = groebner._Packing(nvars, FULL, order, 8)
+    for _ in range(300):
+        m = pk.pack(tuple(rng.randint(0, 1) for _ in range(nvars)))
+        lm = [rng.choice([0, 0, 1, 2, 3]) for _ in range(nvars)]
+        lm[rng.randrange(nvars)] = rng.randint(2, 3)
+        radical = [min(x, 1) for x in lm]
+        # tail monomials are multiples of the radical of lower degree
+        tail = {tuple(r + rng.randint(0, 1) for r in radical)
+                for _ in range(rng.randint(1, 3))}
+        tail = [pk.pack(u) for u in tail if sum(u) < sum(lm)]
+        if not tail:
+            continue
+        plm = pk.pack(tuple(lm))
+        gcd = functools.reduce(pk.gcd, tail)
+        assert pk.divides(pk.pack(tuple(radical)), gcd)  # f is covered
+        (ef,), known = pk.excesses(pk.slot(plm), m, pk.slot(gcd))
+        assert known == b"\x01"
+        gs = [pk.pack(tuple(rng.randint(0, 1) for _ in range(nvars))) for _ in range(20)]
+        es, _ = pk.excesses(b"".join(map(pk.slot, gs)), m)
+        assert not any(pk.divides(ef, e) for e in es)
+    # a partner g with a non-squarefree lm breaks the second fact: for
+    # m = x1 and f = x1^2+x1, f's excess x1 divides g's excess x1*y1
+    m, f, g, x1, x1y1 = (pk.pack_element(parse_poly(p, 2, FULL).terms)
+                         for p in ("x1", "x1^2+x1", "x1^2*y1+z1", "x1", "x1*y1"))
+    (ef,), known = pk.excesses(pk.slot(f[0]), m[0], pk.slot(f[1]))
+    (eg,), _ = pk.excesses(pk.slot(g[0]), m[0])
+    assert known == b"\x01"
+    assert [ef, eg] == x1 + x1y1
+    assert pk.divides(ef, eg)
