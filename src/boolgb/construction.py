@@ -36,7 +36,6 @@ from .polyring import (
     mono_var,
     num_vars,
     parse_poly,
-    var_flat,
 )
 
 # P(n) has 3^n elements; refuse to materialize beyond this block count.
@@ -52,6 +51,20 @@ def _check_n(n: int):
         raise ValueError(f"n must be >= 1, got {n}")
 
 
+def _blocks(n: int):
+    """The flat variables (x_i, y_i, z_i) of each block i = 1..n."""
+    _check_n(n)
+    return [(v, v + 1, v + 2) for v in range(0, num_vars(n), 3)]
+
+
+def _monomial(nv: int, *flat):
+    """The squarefree monomial of the given flat variables."""
+    m = [0] * nv
+    for v in flat:
+        m[v] = 1
+    return tuple(m)
+
+
 def make_S(n: int):
     """Field polynomials c^2 + c in flat variable order (full mode only)."""
     _check_n(n)
@@ -62,60 +75,34 @@ def make_S(n: int):
 
 def make_L(n: int, mode: str = FULL):
     """The n polynomials x_i*y_i + x_i + y_i + z_i."""
-    _check_n(n)
     nv = num_vars(n)
-    out = []
-    for i in range(1, n + 1):
-        x, y, z = var_flat("x", i), var_flat("y", i), var_flat("z", i)
-        xy = [0] * nv
-        xy[x] = 1
-        xy[y] = 1
-        out.append(Polynomial(
-            (tuple(xy), mono_var(x, nv), mono_var(y, nv), mono_var(z, nv)), nv, mode))
-    return out
+    return [Polynomial((_monomial(nv, x, y), _monomial(nv, x), _monomial(nv, y),
+                        _monomial(nv, z)), nv, mode) for x, y, z in _blocks(n)]
 
 
 def make_T(n: int, mode: str = FULL):
     """The 2n polynomials x_i*z_i + x_i and y_i*z_i + y_i."""
-    _check_n(n)
     nv = num_vars(n)
-    out = []
-    for kind in ("x", "y"):
-        for i in range(1, n + 1):
-            c, z = var_flat(kind, i), var_flat("z", i)
-            cz = [0] * nv
-            cz[c] = 1
-            cz[z] = 1
-            out.append(Polynomial((tuple(cz), mono_var(c, nv)), nv, mode))
-    return out
+    blocks = _blocks(n)
+    return [Polynomial((_monomial(nv, block[k], block[2]), _monomial(nv, block[k])),
+                       nv, mode) for k in (0, 1) for block in blocks]
 
 
 def make_P(n: int, mode: str = FULL):
     """All 3^n products c_1*...*c_n, c_i in {x_i, y_i, z_i}, enumerated in
     lexicographic choice order (x before y before z in each block)."""
-    _check_n(n)
+    blocks = _blocks(n)
     if n > DEFAULT_MAX_N:
         raise ResourceLimitError(f"P({n}) has 3^{n} elements; cap is n <= {DEFAULT_MAX_N}")
     nv = num_vars(n)
-    out = []
-    choices = [(var_flat("x", i), var_flat("y", i), var_flat("z", i))
-               for i in range(1, n + 1)]
-    for pick in itertools.product(*choices):
-        m = [0] * nv
-        for v in pick:
-            m[v] = 1
-        out.append(Polynomial((tuple(m),), nv, mode))
-    return out
+    return [Polynomial((_monomial(nv, *pick),), nv, mode)
+            for pick in itertools.product(*blocks)]
 
 
 def z_product(n: int, mode: str = FULL) -> Polynomial:
     """The single monomial z_1*z_2*...*z_n."""
-    _check_n(n)
     nv = num_vars(n)
-    m = [0] * nv
-    for i in range(1, n + 1):
-        m[var_flat("z", i)] = 1
-    return Polynomial((tuple(m),), nv, mode)
+    return Polynomial((_monomial(nv, *(z for _, _, z in _blocks(n))),), nv, mode)
 
 
 def make_H(n: int, mode: str = FULL, order: MonomialOrder = DEGLEX) -> GeneratorSet:
@@ -124,12 +111,8 @@ def make_H(n: int, mode: str = FULL, order: MonomialOrder = DEGLEX) -> Generator
     In boolean mode the field polynomials vanish (c^2 + c = c + c = 0),
     leaving the n+1 generators that present the same quotient ideal.
     """
-    polys = []
-    if mode == FULL:
-        polys.extend(make_S(n))
-    polys.extend(make_L(n, mode))
-    polys.append(z_product(n, mode))
-    return GeneratorSet(polys, order)
+    S = make_S(n) if mode == FULL else []
+    return GeneratorSet(S + make_L(n, mode) + [z_product(n, mode)], order)
 
 
 def make_G(n: int, mode: str = FULL, order: MonomialOrder = DEGLEX) -> GeneratorSet:

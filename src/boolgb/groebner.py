@@ -118,12 +118,12 @@ Inside the engine a monomial is one packed Python int (Monagan & Pearce,
 CASC 2007), and an element is its packed terms in descending order:
 lm first, then the tail, kept by the reducer as lms[i] and tails[i], the
 engine's one working set.  Exponent tuples are packed where polynomials
-enter and unpacked where they leave.  A `GroebnerBasis` is packed once,
-when it is built, into the one reducer that every read of it uses;
+enter and unpacked where they leave.  A `GroebnerBasis` holds its
+elements only packed, in the one reducer that every read of it uses;
 `buchberger` and `interreduce` build theirs from the packed elements
-they hold and pack nothing again, and such a basis unpacks its
-`elements` only when they are first read.  A `_Packing` fixes the
-layout for one (nvars, mode, order, width):
+they hold, `load_basis` packs each dumped monomial once, and every basis
+unpacks its `elements` only when they are first read.  A `_Packing`
+fixes the layout for one (nvars, mode, order, width):
 
 - Boolean mode: a monomial is its support bitmask.  Multiply and lcm
   are `|`, the gcd is `&`, a divides b is `a & b == a`.
@@ -518,11 +518,12 @@ class GeneratorSet:
 class GroebnerBasis:
     """A list of basis elements sorted ascending by leading monomial.
 
-    Ties keep the order given.  The elements are packed once, when the
-    basis is built, into the reducer that every read of the basis uses.
-    The engine hands its elements over packed, and such a basis unpacks
-    its `elements` only when they are first read.  The `reduced` flag is
-    a cache, never a proof; verification predicates recompute it.
+    Ties keep the order given.  A basis holds its elements only packed,
+    in the reducer that every read of it uses: polynomials are packed
+    once, when the basis is built, and the engine and `load_basis` hand
+    theirs over packed.  `elements` unpacks them on its first read.  The
+    `reduced` flag is a cache, never a proof; verification predicates
+    recompute it.
     """
 
     __slots__ = ("_elements", "order", "mode", "nvars", "n", "reduced", "_reducer")
@@ -536,19 +537,14 @@ class GroebnerBasis:
         _check_compatible(*elements)
         pk = _Packing(elements[0].nvars, elements[0].mode, order,
                       max(f.degree() for f in elements))
-        self._build(pk, [pk.pack_element(f.terms) for f in elements], order,
-                    reduced, elements)
+        self._build(pk, [pk.pack_element(f.terms) for f in elements], order, reduced)
 
-    def _build(self, pk, packed, order, reduced, polys=None):
+    def _build(self, pk, packed, order, reduced):
         """Fill the basis from packed elements, lm first and the tail
         descending, and return it.  They are sorted stably by leading
-        monomial and read through one reducer; `elements` takes polys[k]
-        for packed[k], or unpacks the reducer's elements on its first
-        read if polys is None."""
-        rank = sorted(range(len(packed)),
-                      key=[pk.key(element[0]) for element in packed].__getitem__)
-        self._elements = None if polys is None else tuple(polys[k] for k in rank)
-        self._reducer = _Reducer(pk, [packed[k] for k in rank])
+        monomial into one reducer."""
+        self._elements = None
+        self._reducer = _Reducer(pk, sorted(packed, key=lambda element: pk.key(element[0])))
         self.order = order
         self.mode = BOOLEAN if pk.boolean else FULL
         self.nvars = len(pk.shifts)
@@ -1071,7 +1067,7 @@ def load_basis(text: str) -> GroebnerBasis:
             f"{len(elements) if isinstance(elements, list) else 'no'} elements")
     nvars = 3 * n
     max_exp = 1 if mode == BOOLEAN else float("inf")
-    polys = []
+    loaded = []
     for index, element in enumerate(elements):
         monos = _load_element(element, nvars, max_exp)
         keys = [order.key(m) for m in monos or ()]
@@ -1081,8 +1077,11 @@ def load_basis(text: str) -> GroebnerBasis:
                 f"lists of [varFlat, exp] pairs, varFlat in 0..{nvars - 1} at "
                 f"most once, exp >= 1, and 1 in boolean mode, listed strictly "
                 f"descending under {order.scheme}): {json.dumps(element)[:100]}")
-        polys.append(Polynomial(monos, nvars, mode))
-    return GroebnerBasis(polys, order)
+        loaded.append(monos)
+    # listed descending under a degree order, an element's lm has its degree
+    pk = _Packing(nvars, mode, order, max(sum(monos[0]) for monos in loaded))
+    return GroebnerBasis.__new__(GroebnerBasis)._build(
+        pk, [list(map(pk.pack, monos)) for monos in loaded], order, reduced=False)
 
 
 def _is_int(value):

@@ -39,6 +39,7 @@ from boolgb import (
     s_polynomial,
     to_full,
 )
+from boolgb import groebner
 from boolgb.cli import _boolean_as_full
 from test_packing import CASES, chain_systems, random_monomials
 from test_polyring import random_poly
@@ -588,6 +589,9 @@ def _dump(elements, n=1, mode=FULL, order="deglex"):
     (_dump([[[[0, 2]]]], mode=BOOLEAN), "element 0 breaks"),
     # x1 + x1*y1 listed lowest term first: not the declared deglex order
     (_dump([[[[0, 1]], [[0, 1], [1, 1]]]]), "element 0 breaks"),
+    # x1*y2 above y1*x2: deglex order, but degrevlex ranks y1*x2 higher
+    (_dump([[[[0, 1], [4, 1]], [[1, 1], [3, 1]]]], n=2, mode=BOOLEAN, order="degrevlex"),
+     "element 0 breaks"),
     (_dump([[[[0, 1], [0, 1]]]]), "element 0 breaks"),
     (_dump([[[[0, 1]]], []]), "element 1 breaks"),
     (_dump([]), "0 elements"),
@@ -609,6 +613,33 @@ def test_load_basis_rejects_malformed_documents(text, message):
 def test_load_basis_accepts_degrevlex_boolean_dump():
     basis = interreduce(buchberger(make_H(2, BOOLEAN, DEGREVLEX))[0])
     assert load_basis(dump_basis(basis)).as_set() == basis.as_set()
+    # the misordered element of the rejected dumps, listed y1*x2 first
+    text = _dump([[[[1, 1], [3, 1]], [[0, 1], [4, 1]]]], n=2, mode=BOOLEAN, order="degrevlex")
+    assert load_basis(text).elements == (P("y1*x2+x1*y2", 2, BOOLEAN),)
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_a_basis_holds_its_elements_only_packed(mode, order, monkeypatch):
+    # neither GroebnerBasis nor load_basis makes a Polynomial: the basis
+    # keeps none of its input, and the first read of `elements` unpacks
+    # every element into a new one
+    polys = list(interreduce(buchberger(make_H(3, mode, order))[0]))
+    text = dump_basis(GroebnerBasis(polys, order))
+    made = []
+    polynomial = groebner.Polynomial
+
+    def counting(*args):
+        made.append(polynomial(*args))
+        return made[-1]
+
+    monkeypatch.setattr(groebner, "Polynomial", counting)
+    for basis in (GroebnerBasis(polys, order), load_basis(text)):
+        assert made == []
+        assert basis.elements == tuple(polys)
+        assert basis.as_set() == frozenset(polys)
+        assert list(basis.elements) == made
+        assert not any(f is g for f, g in zip(made, polys))
+        del made[:]
 
 
 def test_negative_exponents_never_reach_the_engine():

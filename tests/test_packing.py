@@ -559,6 +559,26 @@ def test_dense_random_dumps_pinned():
     assert (queued, pruned) == (11428, 3345)
 
 
+def test_long_tail_dumps_pinned():
+    # one block in the full ring under deglex, whose raw basis has tails
+    # of up to 168 terms where those of H(n) have at most 3, and where the
+    # chain query prunes: its counters and its raw and reduced bases, byte
+    # for byte.  is_groebner_basis, with the product criterion alone,
+    # takes tens of seconds on the reduced basis, so it is left out
+    F = GeneratorSet([parse_poly(p, 1) for p in (
+        "x1^2*y1*z1^9+x1*y1^8*z1^2+y1*z1^2", "x1*y1^15+x1^2*y1*z1^2",
+        "y1^2*z1^11+y1*z1^10+z1")], DEGLEX)
+    raw, stats = buchberger(F)
+    reduced = interreduce(raw)
+    assert (stats.pairs_generated, stats.pairs_queued, stats.pairs_skipped_by_criteria,
+            stats.pairs_monomial, stats.pairs_chain_pruned,
+            stats.reductions_to_zero) == (12720, 439, 12281, 0, 114, 168)
+    assert (len(raw), max(map(len, raw)), len(reduced)) == (160, 169, 64)
+    assert [hashlib.sha256(dump_basis(G).encode()).hexdigest() for G in (raw, reduced)] == [
+        "1e316cbc2392b1a9bb22f982902c4b6c211fed5fa391bef25cc086845858cc7c",
+        "6ad6dab00632d475a968605fe7609b450e0e998c6886e046ea2fd147ba61b549"]
+
+
 def _known_zero(pk, f, g):
     """The criteria on the S-pair of two packed elements, lm first: the
     product criterion for two non-monomials, and for a monomial m and an
