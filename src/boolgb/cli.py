@@ -7,6 +7,7 @@ is a positive integer; anything else is a usage error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -412,6 +413,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: a build costs about a millisecond
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boolgb",

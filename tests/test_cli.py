@@ -536,6 +536,35 @@ def test_gb_deterministic_across_processes(tmp_path):
     assert dumps[0] == dumps[1]
 
 
+def test_gb_after_a_usage_error_in_one_process(tmp_path):
+    # the parser is built once per process, and a usage error leaves it fit
+    # for the next call: that gb call writes what a fresh process writes
+    import subprocess
+    import sys
+
+    from boolgb.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    h2 = write_h(tmp_path, 2)
+    after, fresh = tmp_path / "after.json", tmp_path / "fresh.json"
+    code = """if True:
+        import sys
+        from boolgb.cli import main
+        try:
+            main(["gen", "--n", "2"])  # missing --family
+        except SystemExit as exc:
+            assert exc.code == 2, exc.code
+        else:
+            sys.exit("no usage error")
+        sys.exit(main(["gb", sys.argv[1], "--out", sys.argv[2]]))
+    """
+    for argv in (["-c", code, h2, str(after)],
+                 ["-m", "boolgb.cli", "gb", h2, "--out", str(fresh)]):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert after.read_bytes() == fresh.read_bytes()
+
+
 def test_cli_import_leaves_out_dataclasses():
     import subprocess
     import sys

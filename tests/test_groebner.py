@@ -345,6 +345,71 @@ def test_is_groebner_basis_matches_a_tuple_reference(mode, order):
     assert answers[False] > 80 and answers[True] > 40
 
 
+@pytest.mark.parametrize("mode,order", CASES)
+def test_is_groebner_basis_matches_the_reference_where_s_polynomials_repeat(mode, order):
+    # in G(n) many monomials share one multiplier q = lcm/lm_f with a
+    # non-monomial f, and many one-term tails give one monomial S-polynomial;
+    # each is checked once.  G(n) less one element is often no basis
+    answers = collections.Counter()
+    for n in (2, 3):
+        G = list(make_G(n, mode, order).polynomials)
+        for polys in [G] + [G[:i] + G[i + 1:] for i in range(len(G))]:
+            expected = reference_is_groebner_basis(polys, order)
+            assert is_groebner_basis(polys, order) == expected
+            assert is_groebner_basis(polys, order, use_criteria=False) == expected
+            answers[expected] += 1
+    assert answers == ({True: 17, False: 51} if mode == FULL else {True: 7, False: 46})
+
+
+def predicate_task_count(G, order):
+    """The tasks is_groebner_basis checks on G, counted by exponent tuples:
+    one per distinct multiplier q = lcm/lm_f that a monomial sharing a
+    variable with lm_f gives a non-monomial f, counted instead by the
+    monomial q*t over every f when f's tail is one term t; one per pair of
+    non-monomials whose leading monomials share a variable; and in boolean
+    mode one field task per variable of a non-monomial's lm."""
+    mode = G[0].mode
+    lms = [leading_monomial(g, order) for g in G]
+    monos = [lm for g, lm in zip(G, lms) if len(g.terms) == 1]
+    nonmono = [(lm, g.terms - {lm}) for g, lm in zip(G, lms) if len(g.terms) > 1]
+
+    def shared(a, b):
+        return any(x and y for x, y in zip(a, b))
+
+    count, one_term = 0, set()
+    for k, (lm, tail) in enumerate(nonmono):
+        qs = {tuple(x - y for x, y in zip(mono_lcm(m, lm), lm))
+              for m in monos if shared(m, lm)}
+        if len(tail) == 1:
+            one_term |= {mono_mul(q, t, mode) for q in qs for t in tail}
+        else:
+            count += len(qs)
+        count += sum(shared(lm, other) for other, _ in nonmono[:k])
+        if mode == BOOLEAN:
+            count += sum(lm)
+    return count + len(one_term)
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_is_groebner_basis_checks_each_s_polynomial_once(mode, order):
+    # every task reaches settles once, so its calls count the predicate's work
+    for n in (3, 4, 6):
+        basis = GroebnerBasis(make_G(n, mode, order).polynomials, order)
+        red = basis._reducer
+        calls = []
+        settles = red.settles
+
+        def counting(terms):
+            calls.append(len(terms))
+            return settles(terms)
+
+        red.settles = counting
+        assert is_groebner_basis(basis)
+        if n < 6:
+            assert len(calls) == predicate_task_count(list(basis), order)
+    assert len(calls) == (2241 if mode == FULL else 2240)
+
+
 def test_is_reduced_basis_boundary():
     assert is_reduced_basis([], DEGLEX) and is_groebner_basis([], DEGLEX)
     assert is_reduced_basis(list(make_G(4).polynomials), DEGLEX)
