@@ -95,11 +95,16 @@ chain check and the pair's S-polynomial read, so the pop loop computes
 no lcm.
 
 Divisibility searches read one support index (after Roune & Stillman,
-ISSAC 2012), the reducer's: one int column per support bit with a bit
-per element whose leading monomial has that variable.  `extend` writes
-it and one walk, `divisors(m, above)`, reads it: the divisors of m are
-among the elements in no column of a variable m lacks, and `divides`
-confirms each, as a full-mode support ignores exponents.  Reduction
+ISSAC 2012), the reducer's: a list of int columns, one per flag of the
+`flags` kernel, with a bit per element whose leading monomial sets that
+flag.  A monomial has one flag per variable that occurs in it and one,
+the square flag, when it is not squarefree.  `extend` writes the index
+and one walk, `divisors(m, above)`, reads it: the divisors of m are
+among the elements in no column of a flag m lacks, found by one OR over
+those columns.  A squarefree m thus leaves out every leading monomial
+with a square at once, so each of its candidates divides it.  `divides`
+still confirms every candidate, as an m with a square keeps the square
+column and a candidate's exponents may pass m's.  Reduction
 always divides the largest reducible monomial by its first divisor in
 basis order (ascending leading monomial, ties in the order given); the
 chain criterion reads the divisors of lcm_ij above j.  A miss is
@@ -160,7 +165,6 @@ fixes the layout for one (nvars, mode, order, width):
   variable first, with every exponent complemented, for degrevlex).
 """
 
-import collections
 import functools
 import heapq
 import itertools
@@ -256,6 +260,8 @@ _UNBITS = bytes.maketrans(b"01", b"\x00\x01")
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # 1 for a byte whose top bit is clear
 _CLEAR = bytes(x < 128 for x in range(256))
+# 1 for each flag digit '0', 0 for each '1'
+_LACKS = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def _splitter(size):
@@ -278,11 +284,20 @@ class _Packing:
 
     Attributes that are callables are the kernels: pack, unpack, key,
     unkey, degree, divides, any_divides, lcm, gcd, mul, quo, support,
-    slot and excesses.  any_divides(ms, b) is True when some monomial of
-    the list ms divides b, tested in one C-level loop.  quo(a, b) needs b
-    to divide a.  Of the kernels only pack raises _Overflow.  Full-mode
-    lcm and gcd need the width rule: the fields hold twice the degree of
-    each operand, as of every leading monomial the engine admits.
+    flags, slot and excesses.  any_divides(ms, b) is True when some
+    monomial of the list ms divides b, tested in one C-level loop.
+    quo(a, b) needs b to divide a.  Of the kernels only pack raises
+    _Overflow.  Full-mode lcm and gcd need the width rule: the fields
+    hold twice the degree of each operand, as of every leading monomial
+    the engine admits.
+
+    flags(m) is a bytes of binary digits, the same length for every
+    monomial: first the square flag, b"1" when m is not squarefree, then
+    one flag per variable, b"1" when it occurs in m.  In full mode they
+    are read off the support's guard bits, one per field, with the degree
+    field's guard bit set where the degree passes the number of
+    variables; in Boolean mode they are m's own binary digits, under a
+    square flag that is always b"0".
 
     The batch kernels work on runs of slots: slot(m) is m as the bytes of
     one fixed-width, little-endian slot (full mode: the variable fields
@@ -299,7 +314,7 @@ class _Packing:
 
     __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key", "unkey",
                  "degree", "divides", "any_divides", "lcm", "gcd", "mul", "quo",
-                 "support", "slot", "excesses")
+                 "support", "flags", "slot", "excesses")
 
     def __init__(self, nvars, mode, order, degree):
         boolean = mode == BOOLEAN
@@ -349,6 +364,10 @@ class _Packing:
             self.lcm = self.mul = int.__or__
             self.gcd = int.__and__
             self.support = int
+            # the binary digits of m under the square flag 0 and a leading 1,
+            # which fixes their count; [3:] drops the "0b1"
+            top = 2 << nvars
+            self.flags = lambda m: bin(m | top).encode()[3:]
             # slots of 1, 2, 4 or 8 bytes, split in one cast, with a spare
             # top bit above the variables
             span = next((s for s in (1, 2, 4, 8) if 8 * s > nvars), nvars // 8 + 1)
@@ -416,12 +435,27 @@ class _Packing:
             self.gcd = gcd
             self.mul = int.__add__
             # one guard bit per nonzero variable field: a spread support mask
-            self.support = lambda m: (m + values) & guard & vars_mask
+            var_guards = guard & vars_mask
+            self.support = lambda m: (m + values) & var_guards
 
             # a slot holds the variable fields and an empty degree field, so
             # that a subtraction of slots borrows across no slot
             span = nbytes * (nvars + 1)
-            guards = (guard & vars_mask).to_bytes(span, "little")
+            square = 1 << (dshift + low)  # the degree field's guard bit
+            # the digit 0 in the top byte of every field
+            zeros = int.from_bytes(b"0".ljust(nbytes, b"\0") * (nvars + 1), "big")
+
+            def flags(m):
+                # the support, and the square flag where the degree d passes
+                # the number c of variables: d + fmax - c > fmax
+                s = (m + values) & var_guards
+                s |= (m + ((fmax - s.bit_count()) << dshift)) & square
+                # each guard bit moved to bit 0 of its field's top byte, and
+                # the top bytes, big-endian, read off as digits
+                return ((s >> 7) | zeros).to_bytes(span, "big")[::nbytes]
+
+            self.flags = flags
+            guards = var_guards.to_bytes(span, "little")
             degrees = (fmax << dshift).to_bytes(span, "little")
 
             def slot(m):
@@ -592,9 +626,10 @@ class GroebnerBasis:
 
 class _Reducer:
     """Packed elements lms[i] + tails[i], with their leading monomials
-    bit-sliced by support: columns maps each support bit (as a one-bit
-    int) to the elements whose lm has it, bit i for element i.  `extend`
-    is the one writer of the columns and `divisors` their one reader.
+    bit-sliced by flag: columns[p] holds bit i for each element i whose
+    lm sets flag p of `_Packing.flags`, a variable's or, at p = 0, the
+    square flag.  `extend` is the one writer of the columns and
+    `divisors` their one reader.
 
     Its kernels divisors, find_divisor, settles and reduce are closures
     bound once per reducer.  They hold its lists, which only grow in
@@ -609,27 +644,26 @@ class _Reducer:
         self.pk = pk
         self.lms = []
         self.tails = []
-        self.columns = collections.defaultdict(int)
+        self.columns = [0] * len(pk.flags(0))
         self._bind()
         self.extend(elements)
 
     def extend(self, elements):
         """Append elements given lm first, the tail descending."""
-        lms, columns, support = self.lms, self.columns, self.pk.support
+        lms, columns, flags = self.lms, self.columns, self.pk.flags
+        positions = range(len(columns))
         for lm, *tail in elements:
             bit = 1 << len(lms)
-            s = support(lm)
-            while s:
-                low = s & -s
-                columns[low] |= bit
-                s ^= low
+            for p in itertools.compress(positions, flags(lm).translate(_UNBITS)):
+                columns[p] |= bit
             # in place, as the kernels hold the lists
             lms.append(lm)
             self.tails.append(tuple(tail))
 
     def _bind(self):
         pk, lms, tails, columns = self.pk, self.lms, self.tails, self.columns
-        support, divides = pk.support, pk.divides
+        flags, divides = pk.flags, pk.divides
+        compress, or_, fold = itertools.compress, operator.or_, functools.reduce
         key, unkey, quo, mul = pk.key, pk.unkey, pk.quo, pk.mul
         heapify, heappush, heappop = heapq.heapify, heapq.heappush, heapq.heappop
         hits = {}    # monomial -> index of first divisor (stable: appends only)
@@ -639,13 +673,9 @@ class _Reducer:
         def divisors(m, above=-1):
             """The indices above `above` of the leading monomials dividing
             m, ascending.  The candidates are the elements in no column of
-            a variable that m lacks; `divides` confirms each, as a
-            full-mode support ignores exponents."""
-            lacked = ~support(m)
-            outside = 0
-            for bit, column in columns.items():
-                if bit & lacked:
-                    outside |= column
+            a flag that m lacks; `divides` confirms each, as a full-mode
+            m with a square keeps the square column."""
+            outside = fold(or_, compress(columns, flags(m).translate(_LACKS)), 0)
             found = (((1 << len(lms)) - 1) ^ outside) >> above + 1
             while found:
                 low = found & -found

@@ -131,28 +131,38 @@ def test_nf_first_divisor_in_basis_order():
     assert normal_form(P("x1*y1"), [P("x1*y1+z1"), P("x1+1")], DEGLEX) == P("y1")
 
 
-def reference_division(f, G, order):
-    """Remainder of f by exponent tuples: take the largest monomial left,
-    divide it by the first element of G, sorted stably by ascending
-    leading monomial, whose leading monomial divides it, and add the
-    products of that element's tail mod 2.  Also returns the number of
-    steps where more than one element divided the monomial."""
-    basis = sorted(G, key=lambda g: order.key(leading_monomial(g, order)))
-    lms = [leading_monomial(g, order) for g in basis]
-    left, rest, choices = set(f.terms), set(), 0
-    while left:
-        m = max(left, key=order.key)
-        left.remove(m)
-        divisors = [k for k, lm in enumerate(lms) if mono_divides(lm, m)]
-        if not divisors:
-            rest.add(m)
-            continue
-        choices += len(divisors) > 1
-        g, lm = basis[divisors[0]], lms[divisors[0]]
-        q = tuple(a - b for a, b in zip(m, lm))
-        for t in g.terms - {lm}:
-            left ^= {mono_mul(q, t, f.mode)}
-    return Polynomial(rest, f.nvars, f.mode), choices
+def reference_division(G, order):
+    """Division by G with exponent tuples, as a function from f to its
+    remainder: take the largest monomial left, divide it by the first
+    element of G, sorted stably by ascending leading monomial, whose
+    leading monomial divides it, and add the products of that element's
+    tail mod 2.  It also returns the number of steps where more than one
+    element divided the monomial.  G is sorted once, and each monomial's
+    divisors are found once, for every f."""
+    lms = [leading_monomial(g, order) for g in G]
+    basis = sorted(zip(lms, G), key=lambda element: order.key(element[0]))
+    lms = [lm for lm, _ in basis]
+    tails = [g.terms - {lm} for lm, g in basis]
+    divisors = {}  # monomial -> the indices of its divisors
+
+    def divide(f):
+        left, rest, choices = set(f.terms), set(), 0
+        while left:
+            m = max(left, key=order.key)
+            left.remove(m)
+            if m not in divisors:
+                divisors[m] = [k for k, lm in enumerate(lms) if mono_divides(lm, m)]
+            found = divisors[m]
+            if not found:
+                rest.add(m)
+                continue
+            choices += len(found) > 1
+            q = tuple(a - b for a, b in zip(m, lms[found[0]]))
+            for t in tails[found[0]]:
+                left ^= {mono_mul(q, t, f.mode)}
+        return Polynomial(rest, f.nvars, f.mode), choices
+
+    return divide
 
 
 @pytest.mark.parametrize("mode,order", CASES)
@@ -170,10 +180,11 @@ def test_nf_matches_reference_division_on_non_groebner_lists(mode, order):
         lms = [leading_monomial(g, order) for g in G]
         ties += len(set(lms)) < len(lms)
         non_groebner += not is_groebner_basis(G, order)
+        divide = reference_division(G, order)
         for _ in range(4):
             f = Polynomial({mono_mul(*rng.sample(pool, 2), mode) for _ in range(4)}
                            | set(rng.sample(pool, 2)), nvars, mode)
-            expected, steps = reference_division(f, G, order)
+            expected, steps = divide(f)
             assert normal_form(f, G, order) == expected
             choices += steps
     assert ties > 60 and non_groebner > 100 and choices > 800
@@ -304,9 +315,9 @@ def reference_is_groebner_basis(G, order):
             for v in itertools.compress(range(nvars), lm):
                 var = tuple(int(k == v) for k in range(nvars))
                 tasks.append(collections.Counter(mono_mul(var, t, mode) for t in f.terms))
-    return all(reference_division(
-        Polynomial({m for m, c in task.items() if c % 2}, nvars, mode), G, order)[0].is_zero
-        for task in tasks)
+    divide = reference_division(G, order)
+    return all(divide(Polynomial({m for m, c in task.items() if c % 2}, nvars, mode))[0].is_zero
+               for task in tasks)
 
 
 def _scaled(f, k):

@@ -72,6 +72,10 @@ def test_packed_kernels_agree_with_tuple_kernels(mode, order, scale):
     monos = random_monomials(rng, nvars, mode, 60, max_exp=2, scale=scale)
     pk = groebner._Packing(nvars, mode, order, max(map(sum, monos)))
     for a in monos:
+        # a flag per variable of a, and the square flag where a has a square
+        flags = pk.flags(pk.pack(a))
+        assert set(flags) <= set(b"01") and len(flags) == nvars + 1
+        assert flags.count(b"1") == sum(map(bool, a)) + (max(a) > 1)
         for b in monos:
             pa, pb = pk.pack(a), pk.pack(b)
             assert pk.divides(pa, pb) == mono_divides(a, b)
@@ -210,6 +214,68 @@ def test_reducer_finds_a_divisor_appended_after_a_miss(mode, order):
     assert red.find_divisor(m) == -1
     red.extend([pk.pack_element({(1, 0, 0), (0, 0, 1)})])
     assert red.find_divisor(m) == 1
+
+
+# the walk's systems: G(3), whose full ring holds every x_i^2 + x_i; raw
+# H(3); and the wide system, whose fields the engine widens to two bytes
+WALK_SYSTEMS = ("G3", "H3", "wide")
+
+
+def _walk_basis(system, mode, order):
+    if system == "G3":
+        return GroebnerBasis(make_G(3, mode, order).polynomials, order)
+    if system == "H3":
+        return buchberger(make_H(3, mode, order))[0]
+    # the raw deglex basis, read in the given order: it keeps y1^125
+    wide = buchberger(GeneratorSet([parse_poly("x1^63+y1", 1, mode),
+                                    parse_poly("x1*y1^62+z1", 1, mode)], DEGLEX))[0]
+    return GroebnerBasis(wide.elements, order)
+
+
+def _walk_queries(rng, red, count):
+    """Seeded monomials, squarefree and not, within the reducer's fields,
+    and each leading monomial."""
+    pk, nvars = red.pk, len(red.pk.shifts)
+    monos = [m for max_exp in (1, 3) for m in random_monomials(rng, nvars, FULL, count, max_exp)]
+    # the squarefree ones with higher exponents, of degree at most fmax
+    top = max(1, min(20, pk.fmax // nvars))
+    monos += [tuple(e * rng.randint(1, top) for e in m) for m in monos[:count]]
+    if pk.boolean:
+        monos = [tuple(min(e, 1) for e in m) for m in monos]
+    return [*map(pk.pack, monos), *red.lms]
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+@pytest.mark.parametrize("system", WALK_SYSTEMS)
+def test_divisor_walk_matches_a_scan(mode, order, system):
+    red = _walk_basis(system, mode, order)._reducer
+    pk, lms = red.pk, red.lms
+    if system == "wide" and mode == FULL:
+        assert pk.fmax > 127  # two-byte fields
+    rng = random.Random(71)
+    for m in _walk_queries(rng, red, 150):
+        for above in (-1, 0, len(lms) // 3, len(lms) - 2, len(lms) - 1):
+            assert list(red.divisors(m, above)) == [
+                i for i in range(above + 1, len(lms)) if pk.divides(lms[i], m)]
+
+
+@pytest.mark.parametrize("order", (DEGLEX, DEGREVLEX))
+@pytest.mark.parametrize("system", WALK_SYSTEMS)
+def test_full_walk_of_a_squarefree_query_tests_only_divisors(order, system):
+    # a squarefree query lacks the square flag, so the walk leaves out
+    # every leading monomial with a square, x_i^2 among them, at once
+    red = _walk_basis(system, FULL, order)._reducer
+    pk = red.pk
+    answers = []
+    divides = pk.divides
+    pk.divides = lambda a, b: answers.append(divides(a, b)) or answers[-1]
+    counted = groebner._Reducer(pk, [(lm, *tail) for lm, tail in zip(red.lms, red.tails)])
+    rng = random.Random(73)
+    squarefree = [m for m in _walk_queries(rng, counted, 150)
+                  if pk.degree(m) == pk.support(m).bit_count()]
+    found = sum(len(list(counted.divisors(m))) for m in squarefree)
+    assert len(squarefree) > 100 and answers == [True] * found
+    assert found or system == "wide"  # there every lm has a square
 
 
 @pytest.fixture
