@@ -716,10 +716,11 @@ class _Reducer:
         def reduce(terms):
             """The full normal form of packed terms, descending.
 
-            Takes monomials largest-first from a heap of negated keys;
-            every replacement monomial is strictly smaller than the one it
-            replaces, so a single descending pass is complete.  Duplicate
-            heap entries cancel in pairs (coefficients are mod 2).
+            The terms may come in any order.  Takes monomials largest-first
+            from a heap of negated keys; every replacement monomial is
+            strictly smaller than the one it replaces, so a single
+            descending pass is complete.  Duplicate heap entries cancel in
+            pairs (coefficients are mod 2).
             """
             heap = [-key(m) for m in terms]
             heapify(heap)
@@ -774,13 +775,14 @@ def normal_form(f: Polynomial, G, order: MonomialOrder = DEGLEX) -> Polynomial:
     _check_compatible(f, G)
     red = G._reducer
     pk = red.pk
+    # reduce heapifies its input, so the query's terms go in unsorted
     try:
-        terms = pk.pack_element(f.terms)
+        terms = list(map(pk.pack, f.terms))
     except _Overflow:
         # a query of higher degree than the fields hold: widen, never wrap
         pk = _Packing(f.nvars, f.mode, G.order, f.degree())
         red = _Reducer(pk, [pk.pack_element(g.terms) for g in G.elements])
-        terms = pk.pack_element(f.terms)
+        terms = list(map(pk.pack, f.terms))
     return Polynomial(pk.unpack_terms(red.reduce(terms)), f.nvars, f.mode)
 
 

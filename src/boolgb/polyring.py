@@ -12,6 +12,7 @@ arithmetic, so every stored exponent is 0 or 1 and multiplication is
 union of supports.
 """
 
+import functools
 import re
 from typing import Iterable
 
@@ -319,20 +320,66 @@ def format_poly(f: Polynomial, order: MonomialOrder = DEGLEX) -> str:
 # or an integer.  Each digit group may match empty, so that a missing
 # integer is reported where it was expected; an empty last group means
 # no factor starts there.  In str patterns \s and \d match exactly the
-# characters of str.isspace and str.isdecimal.
+# characters of str.isspace and str.isdecimal, so str.strip drops exactly
+# the blanks that \s skips.
 _FACTOR = re.compile(r"\s*(?:([xyz])\s*(\d*)(?:\s*\^\s*(\d*))?|(\d*))")
-# What may follow a factor: '*', '+', '-' or the end of the text ("");
-# the group is None when the next character is none of them.
-_SEPARATOR = re.compile(r"\s*([*+-]|\Z)?")
+# Text split at '*', '+' and '-', each separator kept as an item of its
+# own between two pieces.  No factor contains a separator, so each piece
+# holds one factor and every error lies in a piece or at its end.
+_SPLIT = re.compile(r"([*+-])").split
+# Distinct (piece, n) pairs the factor memo keeps.  A ring writes its
+# factors with 3n variables and a few exponents, far fewer than this.
+_FACTOR_MEMO = 1024
+
+
+class _FactorError(Exception):
+    """Args (cls, message, at): an error at `at` in one piece, raised as
+    cls(message, start of the piece + at).
+
+    A None message means no factor starts at `at`: what is there, the
+    end of the input or another character, depends on the whole text.
+    """
 
 
 def _read_int(digits: str, at: int) -> int:
     if not digits:
-        raise ParseError("expected an integer", at)
+        raise _FactorError(ParseError, "expected an integer", at)
     try:
         return int(digits)
     except ValueError:  # more digits than int() converts
-        raise ParseError("integer too long", at) from None
+        raise _FactorError(ParseError, "integer too long", at) from None
+
+
+@functools.lru_cache(maxsize=_FACTOR_MEMO)
+def _factor(piece: str, n: int):
+    """One piece as (flat, power) for a variable, (-1, parity) for an integer.
+
+    Raises _FactorError with a position relative to the piece; errors are
+    not memoized.
+    """
+    factor = _FACTOR.match(piece)
+    kind, index, exp, digits = factor.groups()
+    if kind:
+        block = _read_int(index, factor.start(2))
+        if not 1 <= block <= n:
+            raise _FactorError(
+                UnknownVariableError,
+                f"variable {kind}{block} is outside the ring (n={n})",
+                factor.start(1))
+        power = 1 if exp is None else _read_int(exp, factor.start(3))
+        if power < 1:
+            raise _FactorError(ParseError, "exponent must be positive",
+                               factor.start(3))
+        value = var_flat(kind, block), power
+    elif digits:
+        value = -1, _read_int(digits, factor.start(4)) & 1
+    else:
+        raise _FactorError(ParseError, None, factor.end())
+    rest = piece[factor.end():].lstrip()
+    if rest:
+        raise _FactorError(ParseError, f"expected '+' or '-', found {rest[0]!r}",
+                           len(piece) - len(rest))
+    return value
 
 
 def parse_poly(text: str, n: int, mode: str = FULL) -> Polynomial:
@@ -342,38 +389,31 @@ def parse_poly(text: str, n: int, mode: str = FULL) -> Polynomial:
     mode exponents collapse to 1 (v^k = v in the quotient).
     """
     nvars = num_vars(n)
-    sign = _SEPARATOR.match(text)
-    pos = sign.end() if sign[1] in ("+", "-") else 0
+    parts = _SPLIT(text)
+    parts.append("")  # the end of the text closes the last term
+    # a '+' or '-' with only blanks before it is a leading sign
+    first = 2 if parts[1] in ("+", "-") and not parts[0].strip() else 0
     monos = []
-    op = "+"
-    while op:
-        if op != "*":
-            exps, odd = [0] * nvars, True
-        factor = _FACTOR.match(text, pos)
-        kind, index, exp, digits = factor.groups()
-        if kind:
-            block = _read_int(index, factor.start(2))
-            if not 1 <= block <= n:
-                raise UnknownVariableError(
-                    f"variable {kind}{block} is outside the ring (n={n})",
-                    factor.start(1))
-            power = 1 if exp is None else _read_int(exp, factor.start(3))
-            if power < 1:
-                raise ParseError("exponent must be positive", factor.start(3))
-            exps[var_flat(kind, block)] += power
-        elif digits:
-            if _read_int(digits, factor.start(4)) % 2 == 0:
-                odd = False
-        else:
-            pos = factor.end()
-            if pos == len(text):
-                raise ParseError("unexpected end of input", pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        sep = _SEPARATOR.match(text, factor.end())
-        pos, op = sep.end(), sep[1]
-        if op is None:
-            raise ParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
-        if op != "*" and odd:
-            monos.append(tuple(min(e, 1) for e in exps) if mode == BOOLEAN
-                         else tuple(exps))
+    exps, odd = [0] * nvars, 1
+    try:
+        for piece, op in zip(parts[first::2], parts[first + 1::2]):
+            flat, value = _factor(piece, n)
+            if flat < 0:
+                odd &= value
+            else:
+                exps[flat] += value
+            if op != "*":
+                if odd:
+                    monos.append(tuple(min(e, 1) for e in exps) if mode == BOOLEAN
+                                 else tuple(exps))
+                exps, odd = [0] * nvars, 1
+    except _FactorError as exc:
+        # the memo's answer depends on (piece, n) alone, so no piece equal
+        # to the one that failed came before it
+        cls, message, at = exc.args
+        pos = sum(map(len, parts[:parts.index(piece, first)])) + at
+        if message is None:
+            message = ("unexpected end of input" if pos == len(text)
+                       else f"unexpected character {text[pos]!r}")
+        raise cls(message, pos) from None
     return Polynomial(_sum_mod2(monos), nvars, mode)

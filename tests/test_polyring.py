@@ -1,6 +1,7 @@
 """Ring arithmetic, monomial orders, and the text form."""
 
 import random
+import re
 import sys
 
 import pytest
@@ -31,6 +32,7 @@ from boolgb import (
     var_flat,
     var_name,
 )
+from boolgb.polyring import _FACTOR_MEMO, _factor, _sum_mod2
 
 
 def mono(n, **exps):
@@ -321,6 +323,136 @@ def test_parse_digit_run_past_int_limit(prefix):
     with pytest.raises(ParseError) as err:
         parse_poly(prefix + digits, 1)
     assert err.value.position == len(prefix)
+
+
+# The parser as it was before the factor memo: one walk over the text,
+# two regex matches per factor.  parse_poly must agree with it on every
+# text, in its terms or in its error's class, position and message.
+_REF_FACTOR = re.compile(r"\s*(?:([xyz])\s*(\d*)(?:\s*\^\s*(\d*))?|(\d*))")
+_REF_SEPARATOR = re.compile(r"\s*([*+-]|\Z)?")
+
+
+def _reference_read_int(digits, at):
+    if not digits:
+        raise ParseError("expected an integer", at)
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError("integer too long", at) from None
+
+
+def reference_parse_poly(text, n, mode=FULL):
+    nvars = 3 * n
+    sign = _REF_SEPARATOR.match(text)
+    pos = sign.end() if sign[1] in ("+", "-") else 0
+    monos = []
+    op = "+"
+    while op:
+        if op != "*":
+            exps, odd = [0] * nvars, True
+        factor = _REF_FACTOR.match(text, pos)
+        kind, index, exp, digits = factor.groups()
+        if kind:
+            block = _reference_read_int(index, factor.start(2))
+            if not 1 <= block <= n:
+                raise UnknownVariableError(
+                    f"variable {kind}{block} is outside the ring (n={n})",
+                    factor.start(1))
+            power = 1 if exp is None else _reference_read_int(exp, factor.start(3))
+            if power < 1:
+                raise ParseError("exponent must be positive", factor.start(3))
+            exps[var_flat(kind, block)] += power
+        elif digits:
+            if _reference_read_int(digits, factor.start(4)) % 2 == 0:
+                odd = False
+        else:
+            pos = factor.end()
+            if pos == len(text):
+                raise ParseError("unexpected end of input", pos)
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        sep = _REF_SEPARATOR.match(text, factor.end())
+        pos, op = sep.end(), sep[1]
+        if op is None:
+            raise ParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
+        if op != "*" and odd:
+            monos.append(tuple(min(e, 1) for e in exps) if mode == BOOLEAN
+                         else tuple(exps))
+    return Polynomial(_sum_mod2(monos), nvars, mode)
+
+
+def _parse_outcome(parse, text, n, mode):
+    try:
+        return parse(text, n, mode).terms
+    except ParseError as exc:
+        return type(exc), exc.position, str(exc)
+
+
+# blanks, separators, letters, a zero, digit runs, an Arabic-Indic three
+# (a decimal digit) and a superscript two (not one), an unknown letter
+_TEXT_ALPHABET = [" ", "\t", "+", "-", "*", "^", "x", "y", "z", "0", "1", "2",
+                  "13", "007", "٣", "²", "w"]
+
+
+def _random_text(rng, n):
+    """Noise from the alphabet, or well-formed text with one edit or none."""
+    if rng.random() < 0.4:
+        return "".join(rng.choice(_TEXT_ALPHABET) for _ in range(rng.randint(0, 12)))
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.2:
+                factors.append(str(rng.randint(0, 12)))
+                continue
+            factor = rng.choice("xyz") + rng.choice(["", " "]) + str(rng.randint(1, n))
+            if rng.random() < 0.3:
+                factor += rng.choice(["^", " ^ ", "^\t"]) + str(rng.randint(1, 4))
+            factors.append(factor)
+        terms.append(rng.choice(["*", " * "]).join(factors))
+    text = rng.choice(["", "-", " + ", "\t- "]) + rng.choice(["+", " - ", "-"]).join(terms)
+    if rng.random() < 0.5:
+        at = rng.randrange(len(text) + 1)
+        cut = at + rng.randint(0, 1)
+        text = text[:at] + rng.choice(_TEXT_ALPHABET) + text[cut:]
+    return text
+
+
+def test_parse_matches_the_reference_walker():
+    rng = random.Random(2015)
+    parsed = 0
+    for _ in range(20000):
+        n, mode = rng.randint(1, 3), rng.choice((FULL, BOOLEAN))
+        text = _random_text(rng, n)
+        expected = _parse_outcome(reference_parse_poly, text, n, mode)
+        assert _parse_outcome(parse_poly, text, n, mode) == expected, (text, n, mode)
+        parsed += isinstance(expected, frozenset)
+    # both outcomes are common, so neither side of the parser goes untested
+    assert 5000 < parsed < 15000
+
+
+@pytest.mark.parametrize("texts", [("x9", "x1+x9"), ("x1+x9", "x9")])
+def test_factor_memo_never_keeps_an_absolute_position(texts):
+    _factor.cache_clear()
+    for text in texts * 2:
+        with pytest.raises(UnknownVariableError) as err:
+            parse_poly(text, 1)
+        assert err.value.position == text.index("x9")
+
+
+def test_factor_memo_is_keyed_by_the_ring():
+    _factor.cache_clear()
+    assert parse_poly("x2", 2) == poly_var(3, 6)
+    with pytest.raises(UnknownVariableError) as err:
+        parse_poly("x2", 1)
+    assert str(err.value) == "variable x2 is outside the ring (n=1) (at position 0)"
+
+
+def test_factor_memo_stays_bounded():
+    _factor.cache_clear()
+    count = 3 * _FACTOR_MEMO
+    f = parse_poly("*".join(f"x1^{k}" for k in range(1, count + 1)), 1)
+    assert f == Polynomial([(count * (count + 1) // 2, 0, 0)], 3)
+    assert _factor.cache_info().currsize <= _FACTOR_MEMO
 
 
 def test_format_canonical():
