@@ -135,8 +135,11 @@ enter and unpacked where they leave.  A `GroebnerBasis` holds its
 elements only packed, in the one reducer that every read of it uses;
 `buchberger` and `interreduce` build theirs from the packed elements
 they hold, `load_basis` packs each dumped monomial once, and every basis
-unpacks its `elements` only when they are first read.  A `_Packing`
-fixes the layout for one (nvars, mode, order, width):
+unpacks its `elements` only when they are first read.  Those `elements`
+lead back to the basis by a weak reference, so the predicates and
+`normal_form`, given them with the basis's order, read its reducer and
+share its first-divisor memo rather than packing them again.  A
+`_Packing` fixes the layout for one (nvars, mode, order, width):
 
 - Boolean mode: a monomial is its support bitmask.  Multiply and lcm
   are `|`, the gcd is `&`, a divides b is `a & b == a`.
@@ -173,6 +176,7 @@ import operator
 import struct
 import sys
 import time
+import weakref
 
 from .polyring import (
     BOOLEAN,
@@ -184,6 +188,7 @@ from .polyring import (
     ZeroPolynomialError,
     _check_compatible,
     _sum_mod2,
+    _trusted_poly,
     get_order,
 )
 # The engine does not call these tuple kernels.  The benchmark's tracer
@@ -557,18 +562,29 @@ class GeneratorSet:
                 f"n={self.n}, mode={self.mode!r}, order={self.order.scheme})")
 
 
+class _Elements(tuple):
+    """A basis's `elements`: a tuple with a weak reference, `basis`, to
+    the basis it was read from, so that `_as_basis` maps it back to that
+    basis and its reducer.  The reference is weak because the basis holds
+    this tuple: a strong one would make a cycle, and a dropped basis would
+    wait for the cycle collector.  A slice of it is a plain tuple."""
+
+
 class GroebnerBasis:
     """A list of basis elements sorted ascending by leading monomial.
 
     Ties keep the order given.  A basis holds its elements only packed,
     in the reducer that every read of it uses: polynomials are packed
     once, when the basis is built, and the engine and `load_basis` hand
-    theirs over packed.  `elements` unpacks them on its first read.  The
-    `reduced` flag is a cache, never a proof; verification predicates
-    recompute it.
+    theirs over packed.  `elements` unpacks them on its first read, into
+    an `_Elements` tuple that leads back to the basis, so the predicates
+    and `normal_form` given `elements` with the basis's order read this
+    reducer too.  The `reduced` flag is a cache, never a proof;
+    verification predicates recompute it.
     """
 
-    __slots__ = ("_elements", "order", "mode", "nvars", "n", "reduced", "_reducer")
+    __slots__ = ("_elements", "order", "mode", "nvars", "n", "reduced", "_reducer",
+                 "__weakref__")
 
     def __init__(self, elements, order: MonomialOrder, reduced: bool = False):
         elements = list(elements)
@@ -600,8 +616,11 @@ class GroebnerBasis:
         if self._elements is None:
             red = self._reducer
             unpack_terms, nvars, mode = red.pk.unpack_terms, self.nvars, self.mode
-            self._elements = tuple(Polynomial(unpack_terms((lm, *tail)), nvars, mode)
-                                   for lm, tail in zip(red.lms, red.tails))
+            # the packing unpacks only valid terms of this ring
+            elements = _Elements(_trusted_poly(unpack_terms((lm, *tail)), nvars, mode)
+                                 for lm, tail in zip(red.lms, red.tails))
+            elements.basis = weakref.ref(self)
+            self._elements = elements
         return self._elements
 
     def leading_monomials(self):
@@ -750,9 +769,15 @@ class _Reducer:
 
 
 def _as_basis(G, order):
-    """G if it is a GroebnerBasis, else GroebnerBasis(G, order); None if empty."""
+    """G if it is a GroebnerBasis; the basis whose `elements` G is, while
+    that basis lives and has this order; else GroebnerBasis(G, order).
+    None if G is empty."""
     if isinstance(G, GroebnerBasis):
         return G
+    if isinstance(G, _Elements):
+        basis = G.basis()
+        if basis is not None and basis.order == order:
+            return basis
     G = list(G)
     return GroebnerBasis(G, order) if G else None
 
@@ -762,10 +787,12 @@ def normal_form(f: Polynomial, G, order: MonomialOrder = DEGLEX) -> Polynomial:
 
     No monomial of the result is divisible by any leading monomial of G,
     and the result is congruent to f modulo the ideal (G).  G may be a
-    GroebnerBasis or a list of nonzero polynomials, read as
-    GroebnerBasis(G, order): each step divides by the first divisor in
-    basis order (ascending leading monomial, ties in list order), which
-    matters only when G is not a Groebner basis.  Zero maps to zero.
+    GroebnerBasis, read in its own order; the `elements` of a live basis
+    with this order, read as that basis; or any other sequence of nonzero
+    polynomials, read as GroebnerBasis(G, order): each step divides by the
+    first divisor in basis order (ascending leading monomial, ties in list
+    order), which matters only when G is not a Groebner basis.  Zero maps
+    to zero.
     """
     if f.is_zero:
         return f
@@ -783,7 +810,7 @@ def normal_form(f: Polynomial, G, order: MonomialOrder = DEGLEX) -> Polynomial:
         pk = _Packing(f.nvars, f.mode, G.order, f.degree())
         red = _Reducer(pk, [pk.pack_element(g.terms) for g in G.elements])
         terms = list(map(pk.pack, f.terms))
-    return Polynomial(pk.unpack_terms(red.reduce(terms)), f.nvars, f.mode)
+    return _trusted_poly(pk.unpack_terms(red.reduce(terms)), f.nvars, f.mode)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGLEX) -> Polynomial:
@@ -1004,7 +1031,9 @@ def is_groebner_basis(polys, order: MonomialOrder = DEGLEX,
                       use_criteria: bool = True) -> bool:
     """True iff every S-polynomial of a pair reduces to zero against polys.
 
-    polys is read as G in normal_form; an empty list is a Groebner basis.
+    polys is read as G in normal_form, so a basis's own `elements` with
+    its order are checked on its reducer; an empty list is a Groebner
+    basis.
     With use_criteria=False no pair is skipped by the product criterion.
     It is the only criterion here: the engine's monomial and chain
     criteria are left out, so that this check stays independent of them.

@@ -217,6 +217,23 @@ class Polynomial:
         return f"Polynomial({format_poly(self)!r}, nvars={self.nvars}, mode={self.mode!r})"
 
 
+_set_terms = Polynomial.terms.__set__
+_set_nvars = Polynomial.nvars.__set__
+_set_mode = Polynomial.mode.__set__
+
+
+def _trusted_poly(terms: frozenset, nvars: int, mode: str) -> Polynomial:
+    """A Polynomial from terms the library built itself, without the
+    constructor's per-term checks: the caller vouches that `mode` is one
+    of MODES and every term is a valid exponent tuple of the ring.  Input
+    from outside goes through `Polynomial(...)`."""
+    f = object.__new__(Polynomial)
+    _set_terms(f, terms)
+    _set_nvars(f, nvars)
+    _set_mode(f, mode)
+    return f
+
+
 def poly_zero(nvars: int, mode: str = FULL) -> Polynomial:
     return Polynomial((), nvars, mode)
 
@@ -416,4 +433,7 @@ def parse_poly(text: str, n: int, mode: str = FULL) -> Polynomial:
             message = ("unexpected end of input" if pos == len(text)
                        else f"unexpected character {text[pos]!r}")
         raise cls(message, pos) from None
-    return Polynomial(_sum_mod2(monos), nvars, mode)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode: {mode!r}")
+    # every term is a tuple of nvars exponents >= 0, at most 1 in boolean mode
+    return _trusted_poly(frozenset(_sum_mod2(monos)), nvars, mode)

@@ -1,8 +1,10 @@
 """Engine behavior: S-polynomials, normal forms, Buchberger, interreduction."""
 
 import collections
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -698,17 +700,19 @@ def test_load_basis_accepts_degrevlex_boolean_dump():
 def test_a_basis_holds_its_elements_only_packed(mode, order, monkeypatch):
     # neither GroebnerBasis nor load_basis makes a Polynomial: the basis
     # keeps none of its input, and the first read of `elements` unpacks
-    # every element into a new one
+    # every element into a new one, by either constructor
     polys = list(interreduce(buchberger(make_H(3, mode, order))[0]))
     text = dump_basis(GroebnerBasis(polys, order))
     made = []
-    polynomial = groebner.Polynomial
 
-    def counting(*args):
-        made.append(polynomial(*args))
-        return made[-1]
+    def counting(constructor):
+        def construct(*args):
+            made.append(constructor(*args))
+            return made[-1]
+        return construct
 
-    monkeypatch.setattr(groebner, "Polynomial", counting)
+    for name in ("Polynomial", "_trusted_poly"):
+        monkeypatch.setattr(groebner, name, counting(getattr(groebner, name)))
     for basis in (GroebnerBasis(polys, order), load_basis(text)):
         assert made == []
         assert basis.elements == tuple(polys)
@@ -725,3 +729,106 @@ def test_negative_exponents_never_reach_the_engine():
         Polynomial({(-1, 0, 0)}, 3)
     with pytest.raises(ValueError, match="negative exponent"):
         Polynomial({(0, 0, 1), (0, -2, 1)}, 3, BOOLEAN)
+
+
+# ---------------------------------------------------------------------------
+# a basis's own elements read through its reducer
+
+def _bases(mode, order):
+    """name -> a builder of one basis of each kind, built anew per call."""
+    H = make_H(3, mode, order)
+    text = dump_basis(interreduce(buchberger(H)[0]))
+    polys = list(make_G(2, mode, order))
+    return {
+        "loaded": lambda: load_basis(text),
+        "raw": lambda: buchberger(H)[0],
+        "interreduced": lambda: interreduce(buchberger(H)[0]),
+        "constructed": lambda: GroebnerBasis(polys, order),
+    }
+
+
+def _queries(basis, count=20):
+    """Nonzero queries: normal_form answers zero without reading G."""
+    rng = random.Random(32)
+    polys = (random_poly(rng, basis.n, basis.mode) for _ in itertools.count())
+    return list(itertools.islice(filter(None, polys), count))
+
+
+def _answers(G, order, queries):
+    return (is_groebner_basis(G, order), is_reduced_basis(G, order),
+            [normal_form(f, G, order) for f in queries])
+
+
+@pytest.fixture
+def reducers_built(monkeypatch):
+    """The number of `_Reducer`s built since the fixture was set up."""
+    built = [0]
+    reducer = groebner._Reducer
+
+    def counting(*args):
+        built[0] += 1
+        return reducer(*args)
+
+    monkeypatch.setattr(groebner, "_Reducer", counting)
+    return lambda: built[0]
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_elements_with_their_order_read_the_basis_reducer(mode, order, reducers_built):
+    for name, build in _bases(mode, order).items():
+        basis = build()
+        queries = _queries(basis)
+        expected = _answers(GroebnerBasis(list(basis.elements), order), order, queries)
+        before = reducers_built()
+        assert _answers(basis.elements, basis.order, queries) == expected, name
+        assert ideal_membership(queries[0], basis) == (not expected[2][0]), name
+        assert reducers_built() == before, name
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_other_orders_and_copies_of_elements_are_packed_again(mode, order, reducers_built):
+    other = DEGREVLEX if order == DEGLEX else DEGLEX
+    for name, build in _bases(mode, order).items():
+        basis = build()
+        queries = _queries(basis, 3)
+        for G, read in ((basis.elements, other), (list(basis.elements), order),
+                        (list(basis.elements), other)):
+            expected = _answers(GroebnerBasis(list(basis.elements), read), read, queries)
+            before = reducers_built()
+            assert _answers(G, read, queries) == expected, (name, read)
+            # one packing per predicate and one per query
+            assert reducers_built() == before + 2 + len(queries), (name, read)
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_elements_do_not_keep_their_basis_alive(mode, order, reducers_built):
+    for name, build in _bases(mode, order).items():
+        basis = build()
+        queries = _queries(basis, 3)
+        expected = _answers(basis.elements, order, queries)
+        gc.disable()
+        try:
+            ref, elements = weakref.ref(basis), basis.elements
+            del basis
+            # freed at once, without the cycle collector
+            assert ref() is None, name
+        finally:
+            gc.enable()
+        before = reducers_built()
+        assert _answers(elements, order, queries) == expected, name
+        assert reducers_built() == before + 2 + len(queries), name
+        # a slice is a plain tuple
+        assert type(elements[:]) is tuple
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_elements_equal_checked_polynomials(mode, order):
+    # `elements` skips the constructor's per-term checks; what it makes
+    # is equal, with an equal hash, to what the checks let through
+    for name, build in _bases(mode, order).items():
+        basis = build()
+        checked = tuple(Polynomial(f.terms, f.nvars, f.mode) for f in basis.elements)
+        assert basis.elements == checked, name
+        assert list(map(hash, basis.elements)) == list(map(hash, checked)), name
+        for f, g in zip(basis.elements, checked):
+            assert type(f.terms) is frozenset and (f.nvars, f.mode) == (g.nvars, g.mode)

@@ -417,6 +417,13 @@ def _random_text(rng, n):
     return text
 
 
+def test_parse_rejects_an_unknown_mode():
+    # parse_poly builds its result without the constructor's checks, but
+    # keeps the mode check
+    with pytest.raises(ValueError, match="unknown mode: 'bogus'"):
+        parse_poly("x1", 1, "bogus")
+
+
 def test_parse_matches_the_reference_walker():
     rng = random.Random(2015)
     parsed = 0
