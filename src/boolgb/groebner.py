@@ -72,7 +72,13 @@ the others still count as skipped by the criteria.  The flag is needed:
 for m = x1, the covered x1^2 + x1 has the excess x1, which divides the
 excess x1*y1 of x1^2*y1 + z1 and so prunes that pair.  No Boolean
 element is covered and every Boolean monomial is squarefree, so both
-modes take one path.
+modes take one path.  That batch depends on supports alone: the excess
+lm f/gcd(m, lm f) is the support of lm f less that of m, the gcd
+divides f's tail gcd exactly when its support lies in that gcd's, and
+the key orders squarefree monomials as the Boolean key orders their
+supports.  So in both modes it reads support masks, with the kernels of
+the Boolean packing (`_Packing.masks`), and lifts back to a packed
+monomial only a queued excess, once per distinct one a run.
 
 The chain criterion drops a queued pair (i, j) as it pops when some
 element t > j, so added since the pair was queued, has lm_t | lcm_ij
@@ -110,7 +116,8 @@ basis order (ascending leading monomial, ties in the order given); the
 chain criterion reads the divisors of lcm_ij above j.  A miss is
 remembered with the element count it was found at, so a later lookup
 walks only the elements appended since, and none on a basis that does
-not grow.
+not grow; when the element appended at that count has lm m, `extend`
+records it as m's first divisor, as no earlier element divides m.
 The one reduction kernel, `reduce`, is bound once per reducer, as a
 closure over the order key, the multiply, the reducer's element lists
 and its memo of first divisors; the engine, `interreduce`,
@@ -289,8 +296,8 @@ class _Packing:
 
     Attributes that are callables are the kernels: pack, unpack, key,
     unkey, degree, divides, any_divides, lcm, gcd, mul, quo, support,
-    flags, slot and excesses.  any_divides(ms, b) is True when some
-    monomial of the list ms divides b, tested in one C-level loop.
+    flags, slot, excesses, mask and lift.  any_divides(ms, b) is True
+    when some monomial of the list ms divides b, in one C-level loop.
     quo(a, b) needs b to divide a.  Of the kernels only pack raises
     _Overflow.  Full-mode lcm and gcd need the width rule: the fields
     hold twice the degree of each operand, as of every leading monomial
@@ -315,11 +322,19 @@ class _Packing:
     returns the excesses and the bits of each gcd outside its bound; the
     full core is lcm's guard-bit selection, with each degree field filled
     by one multiply by `ones`, which the width rule keeps within fmax.
+
+    masks is the Boolean packing of the same variables and order (the
+    packing itself in Boolean mode), whose monomials are support masks.
+    mask(m) is m's support as one of them, int(flags(m)[1:], 2), and
+    lift(e) the squarefree monomial of this packing with support e.  On
+    squarefree monomials the two packings agree: masks' key orders them
+    as key does, its degree is theirs, its divisibility is theirs, and its
+    lcm, gcd and quotient lift to theirs.
     """
 
     __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key", "unkey",
                  "degree", "divides", "any_divides", "lcm", "gcd", "mul", "quo",
-                 "support", "flags", "slot", "excesses")
+                 "support", "flags", "slot", "excesses", "_masks", "mask", "lift")
 
     def __init__(self, nvars, mode, order, degree):
         boolean = mode == BOOLEAN
@@ -383,6 +398,9 @@ class _Packing:
             def core(a, fs, h, k):
                 # the excesses a_i & ~f; the bits of the gcd a_i & f outside h_i
                 return a & ~fs, a & fs & ~h
+
+            self._masks = None  # masks is the packing itself, with no cycle
+            self.mask = self.lift = int
         else:
             if nbytes in _STRUCT_CODES:
                 # fields of 1, 2, 4 or 8 bytes: one struct call per monomial
@@ -476,6 +494,12 @@ class _Packing:
                 return (v | v * ones << width & int.from_bytes(degrees * k, "little"),
                         ((h | gs) - (a - v)) & gs ^ gs)
 
+            # through the class, as the module's name for it may be wrapped
+            # (tests wrap it to record the packings the engine builds)
+            masks = self._masks = type(self)(nvars, BOOLEAN, order, 1)
+            self.mask = lambda m: int(flags(m)[1:], 2)
+            self.lift = lambda e: pack(masks.unpack(e))
+
         split = _splitter(span)
         lows = ((1 << 8 * span - 1) - 1).to_bytes(span, "little")
 
@@ -494,6 +518,10 @@ class _Packing:
 
         self.slot = slot
         self.excesses = excesses
+
+    @property
+    def masks(self):
+        return self._masks or self
 
     def pack_element(self, terms):
         """The packed terms of an element, descending: leading monomial first."""
@@ -650,14 +678,14 @@ class _Reducer:
     square flag.  `extend` is the one writer of the columns and
     `divisors` their one reader.
 
-    Its kernels divisors, find_divisor, settles and reduce are closures
-    bound once per reducer.  They hold its lists, which only grow in
-    place, and no reference to the reducer itself, so a dropped reducer is
-    freed at once rather than by the cycle collector.
+    Its kernels extend, divisors, find_divisor, settles and reduce are
+    closures bound once per reducer.  They hold its lists, which only grow
+    in place, and no reference to the reducer itself, so a dropped reducer
+    is freed at once rather than by the cycle collector.
     """
 
-    __slots__ = ("pk", "lms", "tails", "columns", "divisors", "find_divisor", "settles",
-                 "reduce")
+    __slots__ = ("pk", "lms", "tails", "columns", "extend", "divisors", "find_divisor",
+                 "settles", "reduce")
 
     def __init__(self, pk, elements=()):
         self.pk = pk
@@ -666,18 +694,6 @@ class _Reducer:
         self.columns = [0] * len(pk.flags(0))
         self._bind()
         self.extend(elements)
-
-    def extend(self, elements):
-        """Append elements given lm first, the tail descending."""
-        lms, columns, flags = self.lms, self.columns, self.pk.flags
-        positions = range(len(columns))
-        for lm, *tail in elements:
-            bit = 1 << len(lms)
-            for p in itertools.compress(positions, flags(lm).translate(_UNBITS)):
-                columns[p] |= bit
-            # in place, as the kernels hold the lists
-            lms.append(lm)
-            self.tails.append(tuple(tail))
 
     def _bind(self):
         pk, lms, tails, columns = self.pk, self.lms, self.tails, self.columns
@@ -688,6 +704,22 @@ class _Reducer:
         hits = {}    # monomial -> index of first divisor (stable: appends only)
         misses = {}  # monomial -> the element count when it had no divisor
         hit, missed = hits.get, misses.get
+        positions = range(len(columns))
+
+        def extend(elements):
+            """Append elements given lm first, the tail descending."""
+            for lm, *tail in elements:
+                index = len(lms)
+                bit = 1 << index
+                for p in compress(positions, flags(lm).translate(_UNBITS)):
+                    columns[p] |= bit
+                # a miss at exactly this count: no earlier element divides
+                # lm, so the new element is its first divisor
+                if missed(lm) == index:
+                    hits[lm] = index
+                # in place, as the kernels hold the lists
+                lms.append(lm)
+                tails.append(tuple(tail))
 
         def divisors(m, above=-1):
             """The indices above `above` of the leading monomials dividing
@@ -764,7 +796,7 @@ class _Reducer:
                     heappush(heap, -key(mul(q, t)))
             return out
 
-        self.divisors, self.find_divisor = divisors, find_divisor
+        self.extend, self.divisors, self.find_divisor = extend, divisors, find_divisor
         self.settles, self.reduce = settles, reduce
 
 
@@ -846,13 +878,39 @@ def buchberger(F: GeneratorSet, max_pairs: int = DEFAULT_MAX_PAIRS,
             pk = _Packing(F.nvars, F.mode, F.order, exc.args[0])
 
 
+def _minimal_excesses(es, fields, key, degree, any_divides):
+    """One representative per minimal lcm among the excesses es, found
+    with the kernels of their packing (see the module docstring): the
+    variables among them are minimal, the mask of their fields prunes
+    every excess that contains one, and the rest are checked level by
+    level among themselves.  fields maps each packed variable to the bits
+    of its field."""
+    if 0 in es:  # the packed 1: lm_i | lm_f
+        return [0]
+    minimal = list(fields.keys() & es)
+    ones = functools.reduce(operator.or_, map(fields.get, minimal), 0)
+    rest = sorted(set(itertools.filterfalse(ones.__and__, es)), key=key)
+    others = []
+    for _, level in itertools.groupby(rest, degree):
+        others += [e for e in level if not any_divides(others, e)]
+    return minimal + others
+
+
 def _buchberger(F, pk, max_pairs, max_basis, t0):
     key, unkey, degree, lcm, support = pk.key, pk.unkey, pk.degree, pk.lcm, pk.support
-    any_divides, mul, slot, excesses = pk.any_divides, pk.mul, pk.slot, pk.excesses
-    # each packed variable, a monomial of degree 1, and the bits of its field
+    mul, slot, excesses, masks, mask = pk.mul, pk.slot, pk.excesses, pk.masks, pk.mask
     nvars = len(pk.shifts)
-    fields = {pk.pack((0,) * v + (1,) + (0,) * (nvars - 1 - v)): pk.fmax << s
-              for v, s in enumerate(pk.shifts)}
+
+    def kernels(p, lift):
+        """A batch's lift to pk and its minimal-lcm search kernels on p."""
+        # each packed variable, a monomial of degree 1, and the bits of its field
+        fields = {p.pack((0,) * v + (1,) + (0,) * (nvars - 1 - v)): p.fmax << s
+                  for v, s in enumerate(p.shifts)}
+        return lift, fields, p.key, p.degree, p.any_divides
+
+    # the packed batches' excesses are pk's own, which int leaves as they
+    # are; the squarefree batch's are masks, each distinct one lifted once
+    packed, supports = kernels(pk, int), kernels(masks, functools.cache(pk.lift))
     stats = ReductionStats()
 
     red = _Reducer(pk)  # the working elements, lm first
@@ -862,8 +920,8 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
     uncovered = []    # those of nonmono that are not covered
     # the update's batches: per element, a slot of its leading monomial
     # (slots) and one of all ones for a monomial, the packed 1 otherwise
-    # (kinds); per element of nonmono, and again per element of uncovered,
-    # its leading monomial and the gcd of its tail
+    # (kinds); per element of nonmono, its leading monomial and the gcd of
+    # its tail, and per element of uncovered, their support masks
     slots, kinds, nonslots, gcdslots = bytearray(), bytearray(), bytearray(), bytearray()
     unslots, ungcdslots = bytearray(), bytearray()
     squarefree = True  # while every uncovered lm is squarefree; never on again
@@ -898,35 +956,23 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         # a bound: the monomial criterion bounds g by the gcd of the
         # non-monomial's tail, the product criterion by 1.  A squarefree
         # monomial leaves out the covered partners while every uncovered lm
-        # is squarefree (see the module docstring)
+        # is squarefree, and reads supports (see the module docstring)
+        batch = packed
         if not monomial:
             gcdf = functools.reduce(pk.gcd, tailf)
             es, known = excesses(slots, lmf, kinds, gcdf)
         elif squarefree and sqfree:
-            partners = uncovered
-            es, known = excesses(unslots, lmf, ungcdslots)
+            partners, batch = uncovered, supports
+            es, known = masks.excesses(unslots, mask(lmf), ungcdslots)
         else:
             es, known = excesses(nonslots, lmf, gcdslots)
         zero = set(itertools.compress(es, known))
-        # one representative per minimal lcm, found by excess (see the
-        # module docstring): the variables among the excesses are minimal,
-        # the mask of their fields prunes every excess that contains one,
-        # and the rest are checked level by level among themselves
-        if 0 in es:  # the packed 1: lm_i | lm_f
-            minimal = [0]
-        else:
-            minimal = list(fields.keys() & es)
-            ones = functools.reduce(operator.or_, map(fields.get, minimal), 0)
-            rest = sorted(set(itertools.filterfalse(ones.__and__, es)), key=key)
-            others = []
-            for _, level in itertools.groupby(rest, degree):
-                others += [e for e in level if not any_divides(others, e)]
-            minimal += others
         # a group of pairs with one lcm queues its lowest partner, unless a
         # member is known to reduce to zero; every other partner is pruned
-        queued = [e for e in minimal if e not in zero]
+        lift, *search = batch
+        queued = [e for e in _minimal_excesses(es, *search) if e not in zero]
         for e in queued:
-            heapq.heappush(heap, (key(mul(lmf, e)), 0, partners[es.index(e)], t))
+            heapq.heappush(heap, (key(mul(lmf, lift(e))), 0, partners[es.index(e)], t))
         stats.pairs_queued += len(queued)
         stats.pairs_skipped_by_criteria += formed - len(queued)
 
@@ -947,13 +993,12 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             kinds.extend(bytes(span))
             nonmono.append(t)
             nonslots.extend(s)
-            g = slot(gcdf)
-            gcdslots.extend(g)
+            gcdslots.extend(slot(gcdf))
             # uncovered: some variable of lm f is not in the gcd of its tail
             if support(lmf) & ~support(gcdf):
                 uncovered.append(t)
-                unslots.extend(s)
-                ungcdslots.extend(g)
+                unslots.extend(masks.slot(mask(lmf)))
+                ungcdslots.extend(masks.slot(mask(gcdf)))
                 squarefree &= sqfree
         if stats.pairs_queued > max_pairs:
             stats.wall_time = time.perf_counter() - t0

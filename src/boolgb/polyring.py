@@ -184,6 +184,17 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    # immutable: a copy is the object itself, and a pickle rebuilds it
+    # through the checked constructor rather than by setting its slots
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return Polynomial, (self.terms, self.nvars, self.mode)
+
     @property
     def is_zero(self) -> bool:
         return not self.terms

@@ -205,6 +205,30 @@ def test_batched_excesses_match_the_scalar_kernels(mode, order, degree, nvars):
         assert es == expected
         assert list(known) == [pk.divides(gcd, g if k else 0) for gcd, k in zip(gcds, keep)]
 
+    # the same batch on squarefree monomials, read as support masks in the
+    # Boolean packing pk.masks: its excesses lift to the packed batch's,
+    # with the same flags, for bounds with and without squares
+    bk, mask, lift = pk.masks, pk.mask, pk.lift
+    assert bk.boolean and bk.shifts == sorted(bk.shifts, reverse=order == DEGLEX)
+    top = 1 if mode == BOOLEAN else 2
+    for _ in range(60):
+        f, *partners = (monomial([rng.randint(0, 1) for _ in range(nvars)])
+                        for _ in range(1 + rng.choice([0, 1, 40])))
+        bounds = [monomial([rng.randint(0, top) for _ in range(nvars)]) for _ in partners]
+        es, known = pk.excesses(b"".join(map(pk.slot, partners)), f,
+                                b"".join(map(pk.slot, bounds)))
+        mes, mknown = bk.excesses(b"".join(bk.slot(mask(a)) for a in partners), mask(f),
+                                  b"".join(bk.slot(mask(h)) for h in bounds))
+        assert list(map(lift, mes)) == es and mknown == known
+        for m in (f, *partners):
+            assert lift(mask(m)) == m and bk.degree(mask(m)) == pk.degree(m)
+        # the masks sort as the monomials do
+        assert (sorted(partners, key=lambda a: bk.key(mask(a)))
+                == sorted(partners, key=pk.key))
+        # any monomial's mask is the Boolean packing of its support
+        for h in bounds:
+            assert mask(h) == bk.pack(tuple(min(e, 1) for e in pk.unpack(h)))
+
 
 @pytest.mark.parametrize("mode,order", CASES)
 def test_reducer_finds_a_divisor_appended_after_a_miss(mode, order):
@@ -214,6 +238,32 @@ def test_reducer_finds_a_divisor_appended_after_a_miss(mode, order):
     assert red.find_divisor(m) == -1
     red.extend([pk.pack_element({(1, 0, 0), (0, 0, 1)})])
     assert red.find_divisor(m) == 1
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_an_entering_lm_after_its_miss_is_its_own_first_divisor(mode, order):
+    pk = groebner._Packing(3, mode, order, 3)
+    walked = []  # the pairs the divisor walk confirms
+    divides = pk.divides
+    pk.divides = lambda a, b: walked.append((a, b)) or divides(a, b)
+    y, xz, xy = pk.pack((0, 1, 0)), pk.pack((1, 0, 1)), pk.pack((1, 1, 0))
+    z = pk.pack((0, 0, 1))
+    # a miss for x1*z1 at one element, then x1*z1 + z1 enters as element 1:
+    # it answers without a walk
+    red = groebner._Reducer(pk, [[y]])
+    assert red.find_divisor(xz) == -1
+    red.extend([[xz, z]])
+    del walked[:]
+    assert red.find_divisor(xz) == 1 and walked == []
+    # a miss at one element, then x1*y1 (no divisor of x1*z1) enters before
+    # x1*z1 + z1: the miss stays a miss, and the lookup walks the elements
+    # appended since it, to the one candidate, x1*z1 itself
+    red = groebner._Reducer(pk, [[y]])
+    assert red.find_divisor(xz) == -1
+    red.extend([[xy], [xz, z]])
+    del walked[:]
+    assert red.find_divisor(xz) == 2 and walked == [(xz, xz)]
+    assert red.find_divisor(xz) == 2 and walked == [(xz, xz)]  # now a hit
 
 
 # the walk's systems: G(3), whose full ring holds every x_i^2 + x_i; raw

@@ -1,5 +1,7 @@
 """Ring arithmetic, monomial orders, and the text form."""
 
+import copy
+import pickle
 import random
 import re
 import sys
@@ -422,6 +424,26 @@ def test_parse_rejects_an_unknown_mode():
     # keeps the mode check
     with pytest.raises(ValueError, match="unknown mode: 'bogus'"):
         parse_poly("x1", 1, "bogus")
+
+
+@pytest.mark.parametrize("mode", [FULL, BOOLEAN])
+def test_polynomials_copy_and_pickle(mode):
+    f = parse_poly("x1+y1", 1, mode)
+    copies = [copy.copy(f), copy.deepcopy(f), copy.deepcopy([f])[0]]
+    copies += [pickle.loads(pickle.dumps(f, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for g in copies:
+        assert g == f and hash(g) == hash(f)
+        assert (g.terms, g.nvars, g.mode) == (f.terms, f.nvars, f.mode)
+        with pytest.raises(AttributeError, match="immutable"):
+            g.terms = frozenset()
+        assert g == f
+    # a pickle rebuilds through the checked constructor, which refuses a
+    # Boolean monomial with a square
+    rebuild, args = f.__reduce__()
+    assert rebuild(*args) == f
+    with pytest.raises(ValueError, match="squarefree"):
+        rebuild(frozenset({(2, 0, 0)}), 3, BOOLEAN)
 
 
 def test_parse_matches_the_reference_walker():
