@@ -104,8 +104,10 @@ Divisibility searches read one support index (after Roune & Stillman,
 ISSAC 2012), the reducer's: a list of int columns, one per flag of the
 `flags` kernel, with a bit per element whose leading monomial sets that
 flag.  A monomial has one flag per variable that occurs in it and one,
-the square flag, when it is not squarefree.  `extend` writes the index
-and one walk, `divisors(m, above)`, reads it: the divisors of m are
+the square flag, when it is not squarefree.  A reducer built from a
+list of elements fills each column in one pass, so in time linear in
+the list; `extend` appends one element at a time, as the engine does,
+and one walk, `divisors(m, above)`, reads the index: the divisors of m are
 among the elements in no column of a flag m lacks, found by one OR over
 those columns.  A squarefree m thus leaves out every leading monomial
 with a square at once, so each of its candidates divides it.  `divides`
@@ -141,8 +143,9 @@ engine's one working set.  Exponent tuples are packed where polynomials
 enter and unpacked where they leave.  A `GroebnerBasis` holds its
 elements only packed, in the one reducer that every read of it uses;
 `buchberger` and `interreduce` build theirs from the packed elements
-they hold, `load_basis` packs each dumped monomial once, and every basis
-unpacks its `elements` only when they are first read.  Those `elements`
+they hold, `load_basis` packs each dumped monomial once and checks the
+order of an element on its packed keys, and every basis unpacks its
+`elements` only when they are first read.  Those `elements`
 lead back to the basis by a weak reference, so the predicates and
 `normal_form`, given them with the basis's order, read its reducer and
 share its first-divisor memo rather than packing them again.  A
@@ -675,8 +678,14 @@ class _Reducer:
     """Packed elements lms[i] + tails[i], with their leading monomials
     bit-sliced by flag: columns[p] holds bit i for each element i whose
     lm sets flag p of `_Packing.flags`, a variable's or, at p = 0, the
-    square flag.  `extend` is the one writer of the columns and
-    `divisors` their one reader.
+    square flag.  `divisors` is the one reader of the columns, and they
+    have two writers.  The constructor fills each column in one pass over
+    the flags of all the given lms, so a reducer of |G| elements is built
+    in time linear in |G|.  `extend`, the engine's step, appends elements
+    one at a time and ORs one bit into each column of a flag the new lm
+    sets.  Each writer is the faster one for its own case: a reducer built
+    through `extend` rewrites |G|-bit columns per element, quadratic in
+    |G|, and an append through the per-column pass reads every column.
 
     Its kernels extend, divisors, find_divisor, settles and reduce are
     closures bound once per reducer.  They hold its lists, which only grow
@@ -689,11 +698,18 @@ class _Reducer:
 
     def __init__(self, pk, elements=()):
         self.pk = pk
-        self.lms = []
-        self.tails = []
-        self.columns = [0] * len(pk.flags(0))
+        lms = self.lms = [element[0] for element in elements]
+        self.tails = [tuple(element[1:]) for element in elements]
+        width = len(pk.flags(0))
+        if lms:
+            # the flags of every lm back to back, reversed: column p reads
+            # every width-th digit from the last lm's flag p, which puts
+            # element i at bit i
+            digits = b"".join(map(pk.flags, lms))[::-1]
+            self.columns = [int(digits[width - 1 - p::width], 2) for p in range(width)]
+        else:
+            self.columns = [0] * width
         self._bind()
-        self.extend(elements)
 
     def _bind(self):
         pk, lms, tails, columns = self.pk, self.lms, self.tails, self.columns
@@ -707,11 +723,14 @@ class _Reducer:
         positions = range(len(columns))
 
         def extend(elements):
-            """Append elements given lm first, the tail descending."""
+            """Append elements given lm first, the tail descending, and
+            return the flags of the last one's lm (None if none)."""
+            digits = None
             for lm, *tail in elements:
                 index = len(lms)
                 bit = 1 << index
-                for p in compress(positions, flags(lm).translate(_UNBITS)):
+                digits = flags(lm)
+                for p in compress(positions, digits.translate(_UNBITS)):
                     columns[p] |= bit
                 # a miss at exactly this count: no earlier element divides
                 # lm, so the new element is its first divisor
@@ -720,6 +739,7 @@ class _Reducer:
                 # in place, as the kernels hold the lists
                 lms.append(lm)
                 tails.append(tuple(tail))
+            return digits
 
         def divisors(m, above=-1):
             """The indices above `above` of the leading monomials dividing
@@ -899,7 +919,7 @@ def _minimal_excesses(es, fields, key, degree, any_divides):
 def _buchberger(F, pk, max_pairs, max_basis, t0):
     key, unkey, degree, lcm, support = pk.key, pk.unkey, pk.degree, pk.lcm, pk.support
     mul, slot, excesses, masks, mask = pk.mul, pk.slot, pk.excesses, pk.masks, pk.mask
-    nvars = len(pk.shifts)
+    nvars, boolean = len(pk.shifts), pk.boolean
 
     def kernels(p, lift):
         """A batch's lift to pk and its minimal-lcm search kernels on p."""
@@ -937,13 +957,15 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             raise ResourceLimitError(f"basis cap exceeded ({max_basis})", stats)
         # the width rule: full-mode fields hold twice the degree of every lm
         d = degree(element[0])
-        if not pk.boolean and 2 * d > pk.fmax:
+        if not boolean and 2 * d > pk.fmax:
             raise _Overflow(d)
-        red.extend([element])
+        digits = red.extend([element])
         lmf, tailf = lms[t], tails[t]
         monomial = not tailf
-        # lm f is squarefree when its degree is the size of its support
-        sqfree = degree(lmf) == support(lmf).bit_count()
+        # lm f's square flag and support mask, read off the flags that
+        # extend indexed it by
+        sqfree = digits.startswith(b"0")
+        maskf = lmf if boolean else int(digits[1:], 2)
 
         stats.pairs_generated += t
         # a monomial pairs only with non-monomials: the S-polynomial of two
@@ -963,7 +985,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             es, known = excesses(slots, lmf, kinds, gcdf)
         elif squarefree and sqfree:
             partners, batch = uncovered, supports
-            es, known = masks.excesses(unslots, mask(lmf), ungcdslots)
+            es, known = masks.excesses(unslots, maskf, ungcdslots)
         else:
             es, known = excesses(nonslots, lmf, gcdslots)
         zero = set(itertools.compress(es, known))
@@ -976,7 +998,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         stats.pairs_queued += len(queued)
         stats.pairs_skipped_by_criteria += formed - len(queued)
 
-        if pk.boolean:
+        if boolean:
             support_vars = _support_vars(pk, lmf)
             stats.pairs_generated += len(support_vars)
             if monomial:
@@ -997,7 +1019,7 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             # uncovered: some variable of lm f is not in the gcd of its tail
             if support(lmf) & ~support(gcdf):
                 uncovered.append(t)
-                unslots.extend(masks.slot(mask(lmf)))
+                unslots.extend(masks.slot(maskf))
                 ungcdslots.extend(masks.slot(mask(gcdf)))
                 squarefree &= sqfree
         if stats.pairs_queued > max_pairs:
@@ -1172,8 +1194,15 @@ def dump_basis(G: GroebnerBasis) -> str:
     list."""
     red = G._reducer
     unpack = red.pk.unpack
-    elements = [[[[i, e] for i, e in enumerate(unpack(m)) if e] for m in (lm, *tail)]
-                for lm, tail in zip(red.lms, red.tails)]
+    if red.pk.boolean:
+        # each variable's one pair, shared by every monomial that has it
+        ones = [[v, 1] for v in range(G.nvars)]
+        compress = itertools.compress
+        elements = [[list(compress(ones, unpack(m))) for m in (lm, *tail)]
+                    for lm, tail in zip(red.lms, red.tails)]
+    else:
+        elements = [[[[i, e] for i, e in enumerate(unpack(m)) if e] for m in (lm, *tail)]
+                    for lm, tail in zip(red.lms, red.tails)]
     return json.dumps({"n": G.n, "mode": G.mode, "order": G.order.scheme,
                        "elements": elements})
 
@@ -1186,6 +1215,9 @@ def load_basis(text: str) -> GroebnerBasis:
     nonempty elements whose monomials are lists of [varFlat, exp] pairs
     (each variable in 0..3n-1 at most once, exp >= 1, and exp == 1 in
     boolean mode) listed strictly descending under the declared order.
+    The error names the first element that breaks the schema.  The order
+    is checked on packed keys, in fields that hold every monomial read
+    before the first malformed element.
     """
     try:
         payload = json.loads(text)
@@ -1202,20 +1234,30 @@ def load_basis(text: str) -> GroebnerBasis:
     nvars = 3 * n
     max_exp = 1 if mode == BOOLEAN else float("inf")
     loaded = []
-    for index, element in enumerate(elements):
+    for element in elements:
         monos = _load_element(element, nvars, max_exp)
-        keys = [order.key(m) for m in monos or ()]
-        if not monos or any(a <= b for a, b in zip(keys, keys[1:])):
-            raise BasisFormatError(
-                f"element {index} breaks the basis dump schema (monomials are "
-                f"lists of [varFlat, exp] pairs, varFlat in 0..{nvars - 1} at "
-                f"most once, exp >= 1, and 1 in boolean mode, listed strictly "
-                f"descending under {order.scheme}): {json.dumps(element)[:100]}")
+        if not monos:
+            break
         loaded.append(monos)
-    # listed descending under a degree order, an element's lm has its degree
-    pk = _Packing(nvars, mode, order, max(sum(monos[0]) for monos in loaded))
-    return GroebnerBasis.__new__(GroebnerBasis)._build(
-        pk, [list(map(pk.pack, monos)) for monos in loaded], order, reduced=False)
+    # under a degree order the largest degree of a valid dump is an lm's
+    pk = _Packing(nvars, mode, order,
+                  max(map(sum, itertools.chain.from_iterable(loaded)), default=0))
+    pack, key = pk.pack, pk.key
+    packed = []
+    for monos in loaded:
+        element = list(map(pack, monos))
+        keys = list(map(key, element))
+        if any(map(operator.le, keys, keys[1:])):
+            break
+        packed.append(element)
+    if len(packed) < len(elements):
+        index = len(packed)
+        raise BasisFormatError(
+            f"element {index} breaks the basis dump schema (monomials are "
+            f"lists of [varFlat, exp] pairs, varFlat in 0..{nvars - 1} at "
+            f"most once, exp >= 1, and 1 in boolean mode, listed strictly "
+            f"descending under {order.scheme}): {json.dumps(elements[index])[:100]}")
+    return GroebnerBasis.__new__(GroebnerBasis)._build(pk, packed, order, reduced=False)
 
 
 def _is_int(value):
@@ -1232,11 +1274,13 @@ def _load_element(element, nvars, max_exp):
             return None
         m = [0] * nvars
         for pair in sparse:
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and _is_int(pair[0]) and _is_int(pair[1])
-                    and 0 <= pair[0] < nvars and not m[pair[0]]
-                    and 1 <= pair[1] <= max_exp):
+            # JSON gives a bool only for true and false, whose type is not int
+            if not (isinstance(pair, list) and len(pair) == 2):
                 return None
-            m[pair[0]] = pair[1]
+            v, e = pair
+            if not (type(v) is int and type(e) is int and 0 <= v < nvars and not m[v]
+                    and 1 <= e <= max_exp):
+                return None
+            m[v] = e
         monos.append(tuple(m))
     return monos

@@ -672,6 +672,14 @@ def _dump(elements, n=1, mode=FULL, order="deglex"):
      "element 0 breaks"),
     (_dump([[[[0, 1], [0, 1]]]]), "element 0 breaks"),
     (_dump([[[[0, 1]]], []]), "element 1 breaks"),
+    # x1 + y1^200: a tail far past the fields its lm's degree would size
+    (_dump([[[[0, 1]], [[1, 200]]]]), "element 0 breaks"),
+    # a misordered element 1 is named before a malformed element 2
+    (_dump([[[[0, 1]]], [[[0, 1]], [[1, 5]]], [7]]), "element 1 breaks"),
+    # JSON true is not an integer, as a variable index or as an exponent
+    (_dump([[[[True, 1]]]]), "element 0 breaks"),
+    (_dump([[[[0, True]]]]), "element 0 breaks"),
+    (_dump([[[[0, True]]]], mode=BOOLEAN), "element 0 breaks"),
     (_dump([]), "0 elements"),
     (_dump([[[[0, 1]]]], n=0), "n=0"),
     (_dump([[[[0, 1]]]], n=10 ** 21), "n=10"),
@@ -686,6 +694,22 @@ def _dump(elements, n=1, mode=FULL, order="deglex"):
 def test_load_basis_rejects_malformed_documents(text, message):
     with pytest.raises(BasisFormatError, match=message):
         load_basis(text)
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_a_loaded_dump_keeps_the_fields_of_its_basis(mode, order):
+    for n in range(2, 7):
+        basis = GroebnerBasis(make_G(n, mode, order).polynomials, order)
+        assert load_basis(dump_basis(basis))._reducer.pk.fmax == basis._reducer.pk.fmax
+
+
+def test_a_loaded_dump_keeps_fields_the_engine_widened():
+    # under deglex the engine widens the fields of this system to two bytes
+    # as y1^125 enters; its raw and reduced bases keep them through a dump
+    raw = buchberger(GeneratorSet([P("x1^63+y1"), P("x1*y1^62+z1")], DEGLEX))[0]
+    for basis in (raw, interreduce(raw)):
+        assert basis._reducer.pk.fmax > 127
+        assert load_basis(dump_basis(basis))._reducer.pk.fmax == basis._reducer.pk.fmax
 
 
 def test_load_basis_accepts_degrevlex_boolean_dump():

@@ -91,17 +91,19 @@ def test_packed_kernels_agree_with_tuple_kernels(mode, order, scale):
             ms = packed[k:k + 4]
             assert pk.any_divides(ms, b) == any(pk.divides(a, b) for a in ms)
     # the reducer's divisor index, extended one element at a time and in
-    # two batches; each monomial is an element without a tail
+    # two batches, and filled by the constructor; each monomial is an
+    # element without a tail
     single, batched = groebner._Reducer(pk), groebner._Reducer(pk)
     for p in packed:
         single.extend([[p]])
     batched.extend([[p] for p in packed[:7]])
     batched.extend([[p] for p in packed[7:]])
-    assert batched.lms == single.lms == packed
-    assert batched.columns == single.columns
+    built = groebner._Reducer(pk, [[p] for p in packed])
+    assert built.lms == batched.lms == single.lms == packed
+    assert built.columns == batched.columns == single.columns
     for a in monos:
         divisors = [i for i, d in enumerate(monos) if mono_divides(d, a)]
-        for red in (single, batched):
+        for red in (single, batched, built):
             assert red.find_divisor(pk.pack(a)) == (divisors or [-1])[0]
             # the walk the chain query starts above j, for every j
             for above in range(-1, len(packed)):
@@ -264,6 +266,47 @@ def test_an_entering_lm_after_its_miss_is_its_own_first_divisor(mode, order):
     del walked[:]
     assert red.find_divisor(xz) == 2 and walked == [(xz, xz)]
     assert red.find_divisor(xz) == 2 and walked == [(xz, xz)]  # now a hit
+
+
+def _assert_one_pass_fill_matches_extend(basis):
+    """The constructor's one pass per column against `extend` one element
+    at a time: the same lists, columns and first divisors of every lm and
+    tail monomial."""
+    red = basis._reducer
+    pk, elements = red.pk, [(lm, *tail) for lm, tail in zip(red.lms, red.tails)]
+    built, appended = groebner._Reducer(pk, elements), groebner._Reducer(pk)
+    for element in elements:
+        appended.extend([element])
+    assert (built.lms, built.tails) == (appended.lms, appended.tails) == (red.lms, red.tails)
+    assert built.columns == appended.columns
+    monos = [*red.lms, *(m for tail in red.tails for m in tail)]
+    assert list(map(built.find_divisor, monos)) == list(map(appended.find_divisor, monos))
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_one_pass_fill_matches_extend_on_G(mode, order):
+    for n in range(2, 7):
+        _assert_one_pass_fill_matches_extend(
+            GroebnerBasis(make_G(n, mode, order).polynomials, order))
+
+
+def test_one_pass_fill_matches_extend_on_random_families():
+    systems = [F for seed in (1, 2, 3) for F in dense_systems(seed)] + chain_systems()
+    for F in systems:
+        raw = buchberger(F)[0]
+        for basis in (raw, interreduce(raw)):
+            _assert_one_pass_fill_matches_extend(basis)
+
+
+@pytest.mark.parametrize("mode,order", CASES)
+def test_one_pass_fill_of_no_elements_is_empty(mode, order):
+    pk = groebner._Packing(3, mode, order, 3)
+    red = groebner._Reducer(pk, [])
+    assert red.columns == groebner._Reducer(pk).columns == [0] * len(pk.flags(0))
+    assert red.lms == red.tails == [] and red.find_divisor(pk.pack((1, 0, 0))) == -1
+    # and it grows like any other reducer
+    red.extend([pk.pack_element({(1, 0, 0), (0, 0, 1)})])
+    assert red.find_divisor(pk.pack((1, 1, 0))) == 0
 
 
 # the walk's systems: G(3), whose full ring holds every x_i^2 + x_i; raw
