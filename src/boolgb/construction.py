@@ -258,7 +258,9 @@ def parse_generator_file(text: str, order: MonomialOrder = DEGLEX) -> GeneratorS
                 if not sep or key not in ("n", "mode"):
                     continue
                 if key == "n":
-                    value = int(value) if value.isdecimal() else 0
+                    # out of range past 9 digits, so int() never meets
+                    # Python's limit on the digits it converts
+                    value = int(value) if value.isdecimal() and len(value) < 10 else 0
                     valid = 1 <= value <= MAX_FILE_N
                 else:
                     valid = value in MODES

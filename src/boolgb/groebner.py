@@ -106,7 +106,7 @@ ISSAC 2012), the reducer's: a list of int columns, one per flag of the
 flag.  A monomial has one flag per variable that occurs in it and one,
 the square flag, when it is not squarefree.  A reducer built from a
 list of elements fills each column in one pass, so in time linear in
-the list; `extend` appends one element at a time, as the engine does,
+the list; `extend(element)` appends one element, as the engine does,
 and one walk, `divisors(m, above)`, reads the index: the divisors of m are
 among the elements in no column of a flag m lacks, found by one OR over
 those columns.  A squarefree m thus leaves out every leading monomial
@@ -115,14 +115,16 @@ still confirms every candidate, as an m with a square keeps the square
 column and a candidate's exponents may pass m's.  Reduction
 always divides the largest reducible monomial by its first divisor in
 basis order (ascending leading monomial, ties in the order given); the
-chain criterion reads the divisors of lcm_ij above j.  A miss is
-remembered with the element count it was found at, so a later lookup
-walks only the elements appended since, and none on a basis that does
-not grow; when the element appended at that count has lm m, `extend`
-records it as m's first divisor, as no earlier element divides m.
-The one reduction kernel, `reduce`, is bound once per reducer, as a
-closure over the order key, the multiply, the reducer's element lists
-and its memo of first divisors; the engine, `interreduce`,
+chain criterion reads the divisors of lcm_ij above j.  One memo map
+answers the first-divisor lookup: a monomial's entry is its first
+divisor's index, or ~c for a miss found at c elements (no entry reads
+as ~0), so every lookup is one dict read, a negative one a miss.  A
+lookup after a miss walks only the elements appended since, and none on
+a basis that does not grow; when the element appended at that count has
+lm m, `extend` records it as m's first divisor, as no earlier element
+divides m.  The one reduction kernel, `reduce`, is bound once per
+reducer, as a closure over the order key, the multiply, the reducer's
+element lists and its memo; the engine, `interreduce`,
 `normal_form` and `is_groebner_basis` all call it.  The pop loop and
 `is_groebner_basis` ask the settle rule, `settles`, first.  The latter
 runs over the non-monomials.  A non-monomial j reads, in one excess
@@ -235,21 +237,25 @@ class ReductionStats:
 
     Every generated candidate (ordinary pair or Boolean field task) is
     either queued, skipped by a criterion, or never formed because it is
-    a pair of two monomials or a field task of a monomial (pairs_monomial).
-    A queued pair that the chain query drops as it pops counts in
-    pairs_chain_pruned as well.  Every other queued task reduces to zero
-    or adds an element; one whose terms all have a monomial first divisor
-    counts as a reduction to zero with no chain query.
+    a pair of two monomials or a field task of a monomial (pairs_monomial),
+    so pairs_generated is their sum.  A queued pair that the chain query
+    drops as it pops counts in pairs_chain_pruned as well.  Every other
+    queued task reduces to zero or adds an element; one whose terms all
+    have a monomial first divisor counts as a reduction to zero with no
+    chain query.
     """
 
     def __init__(self):
-        self.pairs_generated = 0
         self.pairs_queued = 0
         self.pairs_skipped_by_criteria = 0
         self.pairs_monomial = 0
         self.pairs_chain_pruned = 0
         self.reductions_to_zero = 0
         self.wall_time = 0.0
+
+    @property
+    def pairs_generated(self):
+        return self.pairs_queued + self.pairs_skipped_by_criteria + self.pairs_monomial
 
     def as_block(self, basis_size=None) -> str:
         """Flat key=value block (one entry per line)."""
@@ -298,10 +304,11 @@ class _Packing:
     """Packed-int monomials for one ring, order and field width.
 
     Attributes that are callables are the kernels: pack, unpack, key,
-    unkey, degree, divides, any_divides, lcm, gcd, mul, quo, support,
-    flags, slot, excesses, mask and lift.  any_divides(ms, b) is True
-    when some monomial of the list ms divides b, in one C-level loop.
-    quo(a, b) needs b to divide a.  Of the kernels only pack raises
+    unkey, degree, divides, any_divides, lcm, gcd, mul, support, flags,
+    slot, excesses, mask and lift.  any_divides(ms, b) is True when some
+    monomial of the list ms divides b, in one C-level loop.  There is no
+    quotient kernel: a/b is a - b in both modes, for b dividing a (see
+    the module docstring).  Of the kernels only pack raises
     _Overflow.  Full-mode lcm and gcd need the width rule: the fields
     hold twice the degree of each operand, as of every leading monomial
     the engine admits.
@@ -320,7 +327,7 @@ class _Packing:
     bytes, past the variables).  excesses(slots, f, bounds=b"", g=None)
     reads k monomials a_i from slots and k bounds h_i from bounds (the
     packed 1 if none, each ANDed with g if given) and returns the list of
-    quo(lcm(a_i, f), f) and k bytes, 1 where gcd(a_i, f) divides h_i.
+    lcm(a_i, f)/f and k bytes, 1 where gcd(a_i, f) divides h_i.
     Each mode gives it only a core over the whole run as ints, which
     returns the excesses and the bits of each gcd outside its bound; the
     full core is lcm's guard-bit selection, with each degree field filled
@@ -336,8 +343,8 @@ class _Packing:
     """
 
     __slots__ = ("boolean", "fmax", "shifts", "pack", "unpack", "key", "unkey",
-                 "degree", "divides", "any_divides", "lcm", "gcd", "mul", "quo",
-                 "support", "flags", "slot", "excesses", "_masks", "mask", "lift")
+                 "degree", "divides", "any_divides", "lcm", "gcd", "mul", "support",
+                 "flags", "slot", "excesses", "_masks", "mask", "lift")
 
     def __init__(self, nvars, mode, order, degree):
         boolean = mode == BOOLEAN
@@ -361,7 +368,6 @@ class _Packing:
         self.boolean = boolean
         self.fmax = fmax
         self.shifts = shifts
-        self.quo = int.__sub__  # a bitmask b inside a: a - b = a ^ b
 
         if boolean:
             flip = 0 if deglex else vars_mask
@@ -544,10 +550,10 @@ def _task_terms(pk, lms, tails, kind, i, j, lcm):
     mul, ti = pk.mul, tails[i]
     if kind:
         return [lcm, *map(mul, itertools.repeat(1 << pk.shifts[j]), ti)]
-    terms = list(map(mul, itertools.repeat(pk.quo(lcm, lms[i])), ti))
+    terms = list(map(mul, itertools.repeat(lcm - lms[i]), ti))
     tj = tails[j]
     if tj:  # empty when j is a monomial
-        terms += map(mul, itertools.repeat(pk.quo(lcm, lms[j])), tj)
+        terms += map(mul, itertools.repeat(lcm - lms[j]), tj)
     return terms
 
 
@@ -681,11 +687,14 @@ class _Reducer:
     square flag.  `divisors` is the one reader of the columns, and they
     have two writers.  The constructor fills each column in one pass over
     the flags of all the given lms, so a reducer of |G| elements is built
-    in time linear in |G|.  `extend`, the engine's step, appends elements
-    one at a time and ORs one bit into each column of a flag the new lm
-    sets.  Each writer is the faster one for its own case: a reducer built
+    in time linear in |G|.  `extend(element)`, the engine's step, appends
+    one element and ORs one bit into each column of a flag its lm sets.
+    Each writer is the faster one for its own case: a reducer built
     through `extend` rewrites |G|-bit columns per element, quadratic in
     |G|, and an append through the per-column pass reads every column.
+
+    One memo map answers first-divisor lookups: an entry is the first
+    divisor's index, or ~c for a miss at c elements, and none reads ~0.
 
     Its kernels extend, divisors, find_divisor, settles and reduce are
     closures bound once per reducer.  They hold its lists, which only grow
@@ -697,48 +706,41 @@ class _Reducer:
                  "settles", "reduce")
 
     def __init__(self, pk, elements=()):
-        self.pk = pk
-        lms = self.lms = [element[0] for element in elements]
-        self.tails = [tuple(element[1:]) for element in elements]
-        width = len(pk.flags(0))
+        lms = [element[0] for element in elements]
+        tails = [tuple(element[1:]) for element in elements]
+        flags, divides = pk.flags, pk.divides
+        width = len(flags(0))
         if lms:
             # the flags of every lm back to back, reversed: column p reads
             # every width-th digit from the last lm's flag p, which puts
             # element i at bit i
-            digits = b"".join(map(pk.flags, lms))[::-1]
-            self.columns = [int(digits[width - 1 - p::width], 2) for p in range(width)]
+            digits = b"".join(map(flags, lms))[::-1]
+            columns = [int(digits[width - 1 - p::width], 2) for p in range(width)]
         else:
-            self.columns = [0] * width
-        self._bind()
-
-    def _bind(self):
-        pk, lms, tails, columns = self.pk, self.lms, self.tails, self.columns
-        flags, divides = pk.flags, pk.divides
+            columns = [0] * width
         compress, or_, fold = itertools.compress, operator.or_, functools.reduce
-        key, unkey, quo, mul = pk.key, pk.unkey, pk.quo, pk.mul
+        key, unkey, mul = pk.key, pk.unkey, pk.mul
         heapify, heappush, heappop = heapq.heapify, heapq.heappush, heapq.heappop
-        hits = {}    # monomial -> index of first divisor (stable: appends only)
-        misses = {}  # monomial -> the element count when it had no divisor
-        hit, missed = hits.get, misses.get
-        positions = range(len(columns))
+        first = {}  # monomial -> its first divisor's index, or ~count at a miss
+        memo = first.get
+        positions = range(width)
 
-        def extend(elements):
-            """Append elements given lm first, the tail descending, and
-            return the flags of the last one's lm (None if none)."""
-            digits = None
-            for lm, *tail in elements:
-                index = len(lms)
-                bit = 1 << index
-                digits = flags(lm)
-                for p in compress(positions, digits.translate(_UNBITS)):
-                    columns[p] |= bit
-                # a miss at exactly this count: no earlier element divides
-                # lm, so the new element is its first divisor
-                if missed(lm) == index:
-                    hits[lm] = index
-                # in place, as the kernels hold the lists
-                lms.append(lm)
-                tails.append(tuple(tail))
+        def extend(element):
+            """Append one element, given lm first and the tail descending,
+            and return the flags of its lm."""
+            lm, *tail = element
+            index = len(lms)
+            bit = 1 << index
+            digits = flags(lm)
+            for p in compress(positions, digits.translate(_UNBITS)):
+                columns[p] |= bit
+            # a miss at exactly this count: no earlier element divides lm,
+            # so the new element is its first divisor
+            if memo(lm, -1) == ~index:
+                first[lm] = index
+            # in place, as the kernels hold the lists
+            lms.append(lm)
+            tails.append(tuple(tail))
             return digits
 
         def divisors(m, above=-1):
@@ -757,26 +759,24 @@ class _Reducer:
 
         def find_divisor(m):
             """Index of the first leading monomial dividing m, or -1."""
-            idx = hit(m)
-            if idx is None:
-                # after a miss only the elements appended since can divide m
-                seen = missed(m, 0)
-                if seen == len(lms):
+            i = memo(m, -1)
+            if i < 0:
+                # after a miss at count ~i only the elements appended since
+                # can divide m
+                count = len(lms)
+                if ~i == count:
                     return -1
-                idx = next(divisors(m, seen - 1), -1)
-                if idx < 0:
-                    misses[m] = len(lms)
-                else:
-                    hits[m] = idx
-            return idx
+                i = next(divisors(m, ~i - 1), -1)
+                first[m] = i if i >= 0 else ~count
+            return i
 
         def settles(terms):
             """True when every term has a monomial first divisor, so that
             reduce(terms) is []: each term that does not cancel is removed
             and replaced by nothing."""
             for m in terms:
-                i = hit(m)  # the memo inline, as in reduce
-                if i is None:
+                i = memo(m, -1)  # the memo inline, as in reduce
+                if i < 0:
                     i = find_divisor(m)
                     if i < 0:
                         return False
@@ -805,17 +805,18 @@ class _Reducer:
                 if not count & 1:
                     continue
                 m = unkey(-k)
-                i = hit(m)  # the memo inline: only a miss pays a call
-                if i is None:
+                i = memo(m, -1)  # the memo inline: only a miss pays a call
+                if i < 0:
                     i = find_divisor(m)
                     if i < 0:
                         out.append(m)
                         continue
-                q = quo(m, lms[i])
+                q = m - lms[i]
                 for t in tails[i]:
                     heappush(heap, -key(mul(q, t)))
             return out
 
+        self.pk, self.lms, self.tails, self.columns = pk, lms, tails, columns
         self.extend, self.divisors, self.find_divisor = extend, divisors, find_divisor
         self.settles, self.reduce = settles, reduce
 
@@ -917,7 +918,7 @@ def _minimal_excesses(es, fields, key, degree, any_divides):
 
 
 def _buchberger(F, pk, max_pairs, max_basis, t0):
-    key, unkey, degree, lcm, support = pk.key, pk.unkey, pk.degree, pk.lcm, pk.support
+    key, unkey, degree, lcm = pk.key, pk.unkey, pk.degree, pk.lcm
     mul, slot, excesses, masks, mask = pk.mul, pk.slot, pk.excesses, pk.masks, pk.mask
     nvars, boolean = len(pk.shifts), pk.boolean
 
@@ -953,13 +954,12 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         nonlocal squarefree
         t = len(lms)
         if t + 1 > max_basis:
-            stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"basis cap exceeded ({max_basis})", stats)
         # the width rule: full-mode fields hold twice the degree of every lm
         d = degree(element[0])
         if not boolean and 2 * d > pk.fmax:
             raise _Overflow(d)
-        digits = red.extend([element])
+        digits = red.extend(element)
         lmf, tailf = lms[t], tails[t]
         monomial = not tailf
         # lm f's square flag and support mask, read off the flags that
@@ -967,7 +967,6 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         sqfree = digits.startswith(b"0")
         maskf = lmf if boolean else int(digits[1:], 2)
 
-        stats.pairs_generated += t
         # a monomial pairs only with non-monomials: the S-polynomial of two
         # monomials is zero, so such a pair counts as processed unformed
         partners = nonmono if monomial else range(t)
@@ -1000,7 +999,6 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
 
         if boolean:
             support_vars = _support_vars(pk, lmf)
-            stats.pairs_generated += len(support_vars)
             if monomial:
                 stats.pairs_monomial += len(support_vars)  # v*m = m
             else:
@@ -1017,13 +1015,13 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
             nonslots.extend(s)
             gcdslots.extend(slot(gcdf))
             # uncovered: some variable of lm f is not in the gcd of its tail
-            if support(lmf) & ~support(gcdf):
+            maskg = mask(gcdf)
+            if maskf & ~maskg:
                 uncovered.append(t)
                 unslots.extend(masks.slot(maskf))
-                ungcdslots.extend(masks.slot(mask(gcdf)))
+                ungcdslots.extend(masks.slot(maskg))
                 squarefree &= sqfree
         if stats.pairs_queued > max_pairs:
-            stats.wall_time = time.perf_counter() - t0
             raise ResourceLimitError(f"pair cap exceeded ({max_pairs})", stats)
 
     def chain(i, j, lcm_ij):
@@ -1034,27 +1032,28 @@ def _buchberger(F, pk, max_pairs, max_basis, t0):
         return any(lcm(lmi, lmt) != lcm_ij and lcm(lmj, lmt) != lcm_ij
                    for lmt in map(lms.__getitem__, divisors(lcm_ij, j)))
 
-    for f in F.polynomials:
-        update(pk.pack_element(f.terms))
+    try:  # a cap error carries the time too
+        for f in F.polynomials:
+            update(pk.pack_element(f.terms))
 
-    while heap:
-        k, kind, i, j = heapq.heappop(heap)
-        lcm_ij = unkey(k)  # of a field task: lm_i
-        terms = _task_terms(pk, lms, tails, kind, i, j, lcm_ij)
-        if settles(terms):  # zero in one step
-            stats.reductions_to_zero += 1
-            continue
-        if kind == 0 and chain(i, j, lcm_ij):
-            stats.pairs_chain_pruned += 1
-            continue
-        # a lone term with no divisor is its own normal form
-        r = terms if len(terms) == 1 and find_divisor(terms[0]) < 0 else reduce(terms)
-        if r:
-            update(r)
-        else:
-            stats.reductions_to_zero += 1
-
-    stats.wall_time = time.perf_counter() - t0
+        while heap:
+            k, kind, i, j = heapq.heappop(heap)
+            lcm_ij = unkey(k)  # of a field task: lm_i
+            terms = _task_terms(pk, lms, tails, kind, i, j, lcm_ij)
+            if settles(terms):  # zero in one step
+                stats.reductions_to_zero += 1
+                continue
+            if kind == 0 and chain(i, j, lcm_ij):
+                stats.pairs_chain_pruned += 1
+                continue
+            # a lone term with no divisor is its own normal form
+            r = terms if len(terms) == 1 and find_divisor(terms[0]) < 0 else reduce(terms)
+            if r:
+                update(r)
+            else:
+                stats.reductions_to_zero += 1
+    finally:
+        stats.wall_time = time.perf_counter() - t0
     basis = GroebnerBasis.__new__(GroebnerBasis)._build(
         pk, [(lm, *tail) for lm, tail in zip(lms, tails)], F.order, reduced=False)
     return basis, stats
@@ -1226,7 +1225,7 @@ def load_basis(text: str) -> GroebnerBasis:
     except (ValueError, TypeError, KeyError, RecursionError) as exc:
         # RecursionError: nesting deeper than the JSON decoder follows
         raise BasisFormatError(f"not a basis dump: {exc!r}") from None
-    if not (_is_int(n) and 1 <= n <= MAX_FILE_N and mode in MODES
+    if not (type(n) is int and 1 <= n <= MAX_FILE_N and mode in MODES
             and isinstance(elements, list) and elements):
         raise BasisFormatError(
             f"bad basis dump header: n={n!r}, mode={mode!r}, "
@@ -1258,10 +1257,6 @@ def load_basis(text: str) -> GroebnerBasis:
             f"most once, exp >= 1, and 1 in boolean mode, listed strictly "
             f"descending under {order.scheme}): {json.dumps(elements[index])[:100]}")
     return GroebnerBasis.__new__(GroebnerBasis)._build(pk, packed, order, reduced=False)
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _load_element(element, nvars, max_exp):

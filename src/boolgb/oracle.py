@@ -23,7 +23,7 @@ enumerator counts standard monomials (`construction.count_standard_monomials`).
 from itertools import chain, compress, repeat
 
 from .groebner import MAX_FILE_N, GeneratorSet, GroebnerBasis, normal_form
-from .polyring import BOOLEAN, FULL, Polynomial, mono_support, mono_var
+from .polyring import BOOLEAN, FULL, Polynomial, mono_var
 
 DEFAULT_MAX_BITS = 24  # enumeration cap: at most 2^24 live candidates
 
@@ -250,12 +250,8 @@ def evaluate(f: Polynomial, point) -> int:
     term evaluates to 1 iff all its variables are set.
     """
     p = _point_mask(point, f.nvars)
-    value = 0
-    for m in f.terms:
-        tm = mono_support(m)
-        if p & tm == tm:
-            value ^= 1
-    return value
+    # one candidate: each variable's column is its one bit at the point
+    return _value(_terms(f), {(v, 1): p >> v & 1 for v in range(f.nvars)}, 1, [])
 
 
 def enumerate_solutions(F: GeneratorSet, max_bits: int = DEFAULT_MAX_BITS) -> SolutionSet:

@@ -77,15 +77,6 @@ def mono_var(flat: int, nvars: int, exp: int = 1):
     return tuple(m)
 
 
-def mono_support(m) -> int:
-    """Bitmask of variables occurring in m (bit i = flat variable i)."""
-    mask = 0
-    for i, e in enumerate(m):
-        if e:
-            mask |= 1 << i
-    return mask
-
-
 def mono_mul(a, b, mode=FULL):
     """Product of two monomials; boolean mode caps every exponent at 1."""
     if mode == BOOLEAN:

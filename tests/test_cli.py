@@ -301,6 +301,15 @@ def test_bench_json_format(capsys):
     assert payload[0]["gbCount"] == payload[0]["predictedGbCount"] == 21
 
 
+def test_bench_past_the_point_cap_leaves_the_solution_count_empty(capsys, monkeypatch):
+    monkeypatch.setenv("BOOLGB_CAPS", "points=4")  # Sol(H(2)) needs 2^5 candidates
+    rc, stdout, _ = run(capsys, "bench", "--n", "2", "--format", "json")
+    assert rc == 0
+    (row,) = json.loads(stdout)
+    assert row["solutionCount"] is None and row["predictedSolutionCount"] == 7
+    assert row["gbCount"] == 21
+
+
 # ---------------------------------------------------------------------------
 # nf / member
 

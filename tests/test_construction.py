@@ -295,6 +295,13 @@ def test_generator_file_requires_header():
         parse_generator_file("x1+y1\n")
 
 
+@pytest.mark.parametrize("n", ["1001", "1" * 5000])
+def test_generator_file_bad_header_n_names_its_line(n):
+    # a 5000-digit n is out of range, not past Python's int() digit limit
+    with pytest.raises(ValueError, match="^line 1: bad header field 'n="):
+        parse_generator_file(f"# n={n} mode=full\nx1\n")
+
+
 def test_generators_text_matches_bitsize_definition():
     F = make_H(1)
     text = generators_text(F)

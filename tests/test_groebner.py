@@ -602,6 +602,8 @@ def test_basis_rejects_zero_elements():
         GroebnerBasis([P("x1"), poly_zero(3)], DEGLEX)
     with pytest.raises(ZeroPolynomialError):
         normal_form(P("x1"), [poly_zero(3)], DEGLEX)
+    with pytest.raises(ValueError, match="at least one element"):
+        GroebnerBasis([], DEGLEX)
 
 
 def test_ideal_containing_one():
@@ -684,6 +686,10 @@ def _dump(elements, n=1, mode=FULL, order="deglex"):
     (_dump([[[[0, 1]]]], n=0), "n=0"),
     (_dump([[[[0, 1]]]], n=10 ** 21), "n=10"),
     (_dump([[[[0, 1.5]]]]), "element 0 breaks"),
+    # a pair that is not a two-item list
+    (_dump([[[5]]]), "element 0 breaks"),
+    (_dump([[[[0]]]]), "element 0 breaks"),
+    (_dump([[[[0, 1, 2]]]]), "element 0 breaks"),
     ("[1, 2]", "not a basis dump"),
     ("{not json", "not a basis dump"),
     # nested deeper than the JSON decoder follows, bare or under a header

@@ -134,6 +134,8 @@ def test_solution_sets_equal_trivial_and_negative():
     F = make_H(2)
     assert solution_sets_equal(F, F)
     assert not solution_sets_equal(make_H(2), GeneratorSet([P("x1", 2)], DEGLEX))
+    with pytest.raises(ValueError, match="different rings"):
+        solution_sets_equal(make_H(1), make_H(2))
 
 
 # ---------------------------------------------------------------------------

@@ -90,20 +90,17 @@ def test_packed_kernels_agree_with_tuple_kernels(mode, order, scale):
         for k in range(0, len(packed) + 1, 4):
             ms = packed[k:k + 4]
             assert pk.any_divides(ms, b) == any(pk.divides(a, b) for a in ms)
-    # the reducer's divisor index, extended one element at a time and in
-    # two batches, and filled by the constructor; each monomial is an
-    # element without a tail
-    single, batched = groebner._Reducer(pk), groebner._Reducer(pk)
+    # the reducer's divisor index, extended one element at a time and
+    # filled by the constructor; each monomial is an element without a tail
+    single = groebner._Reducer(pk)
     for p in packed:
-        single.extend([[p]])
-    batched.extend([[p] for p in packed[:7]])
-    batched.extend([[p] for p in packed[7:]])
+        single.extend([p])
     built = groebner._Reducer(pk, [[p] for p in packed])
-    assert built.lms == batched.lms == single.lms == packed
-    assert built.columns == batched.columns == single.columns
+    assert built.lms == single.lms == packed
+    assert built.columns == single.columns
     for a in monos:
         divisors = [i for i, d in enumerate(monos) if mono_divides(d, a)]
-        for red in (single, batched, built):
+        for red in (single, built):
             assert red.find_divisor(pk.pack(a)) == (divisors or [-1])[0]
             # the walk the chain query starts above j, for every j
             for above in range(-1, len(packed)):
@@ -147,7 +144,7 @@ EXCESS_CASES = [(mode, order, 3, nvars) for mode, order in CASES for nvars in (3
 
 @pytest.mark.parametrize("mode,order,degree,nvars", EXCESS_CASES)
 def test_batched_excesses_match_the_scalar_kernels(mode, order, degree, nvars):
-    # every partner's excess quo(lcm(a, f), f) and its criterion flag,
+    # every partner's excess lcm(a, f)/f and its criterion flag,
     # gcd(a, f) | bound, in one batch, against the scalar kernels; lcm
     # degrees and single exponents reach fmax, the most the width rule
     # lets an lcm of two leading monomials reach
@@ -181,8 +178,8 @@ def test_batched_excesses_match_the_scalar_kernels(mode, order, degree, nvars):
         if partners:
             partners[rng.randrange(len(partners))] = monomial(f)  # excess 1
         pf = monomial(f)
-        expected = [pk.quo(pk.lcm(a, pf), pf) for a in partners]
-        gcds = [pk.quo(a, e) for a, e in zip(partners, expected)]
+        expected = [pk.lcm(a, pf) - pf for a in partners]
+        gcds = [a - e for a, e in zip(partners, expected)]
         # bounds the gcd divides (itself, the partner) or may not (a field less)
         bounds = []
         for g, a in zip(gcds, partners):
@@ -238,7 +235,7 @@ def test_reducer_finds_a_divisor_appended_after_a_miss(mode, order):
     red = groebner._Reducer(pk, [pk.pack_element({(0, 1, 0)})])
     m = pk.pack((1, 0, 1))
     assert red.find_divisor(m) == -1
-    red.extend([pk.pack_element({(1, 0, 0), (0, 0, 1)})])
+    red.extend(pk.pack_element({(1, 0, 0), (0, 0, 1)}))
     assert red.find_divisor(m) == 1
 
 
@@ -254,7 +251,7 @@ def test_an_entering_lm_after_its_miss_is_its_own_first_divisor(mode, order):
     # it answers without a walk
     red = groebner._Reducer(pk, [[y]])
     assert red.find_divisor(xz) == -1
-    red.extend([[xz, z]])
+    red.extend([xz, z])
     del walked[:]
     assert red.find_divisor(xz) == 1 and walked == []
     # a miss at one element, then x1*y1 (no divisor of x1*z1) enters before
@@ -262,10 +259,51 @@ def test_an_entering_lm_after_its_miss_is_its_own_first_divisor(mode, order):
     # appended since it, to the one candidate, x1*z1 itself
     red = groebner._Reducer(pk, [[y]])
     assert red.find_divisor(xz) == -1
-    red.extend([[xy], [xz, z]])
+    red.extend([xy])
+    red.extend([xz, z])
     del walked[:]
     assert red.find_divisor(xz) == 2 and walked == [(xz, xz)]
     assert red.find_divisor(xz) == 2 and walked == [(xz, xz)]  # now a hit
+
+
+def test_the_memo_answers_first_divisors_as_a_scan_does():
+    # a reducer grown one element at a time, asked after every append for
+    # the first divisor of every monomial so far; the memo's entries are
+    # hits or misses with the count they were found at.  Two high-degree
+    # systems add queries with a square, whose walks test candidates that
+    # do not divide them
+    squares = [GeneratorSet([parse_poly(p, 1) for p in gens], DEGLEX)
+               for gens in HIGH_DEGREE[1::2]]
+    for F in chain_systems() + dense_systems(1) + squares:
+        raw = buchberger(F)[0]
+        pk = groebner._Packing(F.nvars, F.mode, F.order,
+                               max(map(raw._reducer.pk.degree, raw._reducer.lms)))
+        walked = []  # the leading monomials the divisor walk confirms
+        divides = pk.divides
+        pk.divides = lambda a, b: walked.append(a) or divides(a, b)
+        red = groebner._Reducer(pk)
+        hits, misses, monos = set(), {}, set()
+        for element in (pk.pack_element(f.terms) for f in raw.elements):
+            red.extend(element)
+            lms = red.lms
+            monos.update(element)
+            for m in sorted(monos):
+                expected = next((i for i, lm in enumerate(lms) if divides(lm, m)), -1)
+                del walked[:]
+                assert red.find_divisor(m) == expected
+                if m in hits:  # a hit never walks again
+                    assert walked == []
+                elif m in misses:  # only the elements appended since the miss
+                    assert set(walked) <= set(lms[misses[m]:])
+                    if m == lms[-1] and misses[m] == len(lms) - 1:
+                        assert walked == []  # the entering lm is its own
+                if expected < 0:
+                    misses[m] = len(lms)
+                else:
+                    hits.add(m)
+                # no growth, no walk
+                del walked[:]
+                assert red.find_divisor(m) == expected and walked == []
 
 
 def _assert_one_pass_fill_matches_extend(basis):
@@ -276,7 +314,7 @@ def _assert_one_pass_fill_matches_extend(basis):
     pk, elements = red.pk, [(lm, *tail) for lm, tail in zip(red.lms, red.tails)]
     built, appended = groebner._Reducer(pk, elements), groebner._Reducer(pk)
     for element in elements:
-        appended.extend([element])
+        appended.extend(element)
     assert (built.lms, built.tails) == (appended.lms, appended.tails) == (red.lms, red.tails)
     assert built.columns == appended.columns
     monos = [*red.lms, *(m for tail in red.tails for m in tail)]
@@ -305,7 +343,7 @@ def test_one_pass_fill_of_no_elements_is_empty(mode, order):
     assert red.columns == groebner._Reducer(pk).columns == [0] * len(pk.flags(0))
     assert red.lms == red.tails == [] and red.find_divisor(pk.pack((1, 0, 0))) == -1
     # and it grows like any other reducer
-    red.extend([pk.pack_element({(1, 0, 0), (0, 0, 1)})])
+    red.extend(pk.pack_element({(1, 0, 0), (0, 0, 1)}))
     assert red.find_divisor(pk.pack((1, 1, 0))) == 0
 
 
@@ -495,6 +533,11 @@ def test_full_mode_product_of_degree_fmax_is_exact(order, degree):
         p = pk.mul(pk.pack(a), pk.pack(b))
         assert p == pk.pack(product)
         assert pk.unpack(p) == product and pk.degree(p) == f
+    # one past fmax does not fit: pack raises, on struct fields (1 and 2
+    # bytes) and on the shifted 16-byte ones alike
+    with pytest.raises(groebner._Overflow) as err:
+        pk.pack((f + 1, 0, 0))
+    assert err.value.args == (f + 1,)
 
 
 @pytest.mark.parametrize("mode,order", CASES)
@@ -860,7 +903,7 @@ def test_monomial_pair_criterion_is_sound(mode, order):
                                       pk.slot(functools.reduce(pk.gcd, tail)))
             zero = bool(known[0])
             # g divides the tail's gcd exactly when it divides every tail monomial
-            g = pk.quo(lm, e)
+            g = lm - e
             assert g == pk.gcd(lm, pm)
             assert zero == all(pk.divides(g, t) for t in tail)
         else:

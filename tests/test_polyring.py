@@ -426,6 +426,15 @@ def test_parse_rejects_an_unknown_mode():
         parse_poly("x1", 1, "bogus")
 
 
+@pytest.mark.parametrize("terms, mode, message", [
+    ({(1, 0, 0)}, "bogus", "unknown mode: 'bogus'"),
+    ({(1, 0)}, FULL, r"monomial \(1, 0\) has 2 exponents, ring has 3"),
+])
+def test_polynomial_rejects_malformed_terms(terms, mode, message):
+    with pytest.raises(ValueError, match=message):
+        Polynomial(terms, 3, mode)
+
+
 @pytest.mark.parametrize("mode", [FULL, BOOLEAN])
 def test_polynomials_copy_and_pickle(mode):
     f = parse_poly("x1+y1", 1, mode)
