@@ -1,7 +1,8 @@
 """Command-line front end: gen, gb, verify, bench, nf, member.
 
-Exit codes: 0 all good, 2 usage or parse error, 3 resource limit,
-4 verification failure.  BOOLGB_CAPS=pairs=...,basis=...,points=...
+Exit codes: 0 all good, 2 bad outside input (a UsageError, which main
+alone prints as one "error: <message>" line), 3 resource limit, 4
+verification failure.  BOOLGB_CAPS=pairs=...,basis=...,points=...
 overrides the default caps; command-line flags override both.  Every cap
 is a positive integer; anything else is a usage error.
 """
@@ -61,14 +62,14 @@ class Caps:
             key, _, value = part.partition("=")
             key = key.strip()
             if key not in ("pairs", "basis", "points"):
-                raise ValueError(f"BOOLGB_CAPS: unknown cap {key!r}")
+                raise ValueError(f"BOOLGB_CAPS: unknown cap {key[:100]!r}")
             setattr(caps, key, _positive_int(value.strip(), f"BOOLGB_CAPS {key}"))
         return caps
 
 
 def _positive_int(text: str, what: str) -> int:
     if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"{what} must be a positive integer, got {text!r}")
+        raise ValueError(f"{what} must be a positive integer, got {text[:100]!r}")
     return int(text)
 
 
@@ -84,8 +85,20 @@ class EngineDisagreementError(Exception):
     """The full and boolean engines returned different bases."""
 
 
-class VanishingInputError(ValueError):
+class UsageError(Exception):
+    """Bad input from outside the program: exit 2, with this message."""
+
+
+class VanishingInputError(UsageError):
     """A generator file whose generators are all zero in the Boolean quotient."""
+
+
+def _read(load, *args):
+    """load(*args) on outside input; its ValueError or OSError is a UsageError."""
+    try:
+        return load(*args)
+    except (ValueError, OSError) as exc:
+        raise UsageError(exc) from None
 
 
 def _atomic_write(path: str, text: str):
@@ -174,11 +187,7 @@ def _full_basis(F: GeneratorSet, engine: str, caps: Caps):
 # commands
 
 def cmd_gen(args, caps: Caps) -> int:
-    try:
-        F = construction.make_family(args.family, args.n, args.mode, args.order)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    F = _read(construction.make_family, args.family, args.n, args.mode, args.order)
     _emit(construction.format_generator_file(F), args.out)
     report = f"family={args.family} n={args.n} count={len(F)}\n"
     (sys.stdout if args.out else sys.stderr).write(report)
@@ -186,11 +195,7 @@ def cmd_gen(args, caps: Caps) -> int:
 
 
 def cmd_gb(args, caps: Caps) -> int:
-    try:
-        F = construction.load_generators(args.input, args.order)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    F = _read(construction.load_generators, args.input, args.order)
     basis, stats = _reduced_basis(F, args.engine, caps)
     _emit(dump_basis(basis) + "\n", args.out)
     if args.verbose:
@@ -315,8 +320,7 @@ def _bench_record(n: int, args, caps: Caps) -> dict:
 def cmd_bench(args, caps: Caps) -> int:
     n_max = args.n if args.n_max is None else args.n_max
     if n_max < args.n:
-        sys.stderr.write("error: --n-max must be >= --n\n")
-        return EXIT_USAGE
+        raise UsageError("--n-max must be >= --n")
     rows = [_bench_record(n, args, caps) for n in range(args.n, n_max + 1)]
     if args.fmt == "json":
         _emit(json.dumps(rows) + "\n", args.out)
@@ -338,22 +342,14 @@ def _load_query(args):
 
 
 def cmd_nf(args, caps: Caps) -> int:
-    try:
-        basis, f = _load_query(args)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    basis, f = _read(_load_query, args)
     r = normal_form(f, basis)
     _emit(format_poly(r, basis.order) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_member(args, caps: Caps) -> int:
-    try:
-        basis, f = _load_query(args)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    basis, f = _read(_load_query, args)
     member = normal_form(f, basis).is_zero
     line = f"member={'true' if member else 'false'}"
     if args.oracle:
@@ -431,21 +427,18 @@ def main(argv=None) -> int:
     if hasattr(args, "order"):
         args.order = get_order(args.order)
     try:
-        caps = Caps.from_env()
-    except ValueError as exc:
+        caps = _read(Caps.from_env)
+        caps.pairs = getattr(args, "max_pairs", None) or caps.pairs
+        caps.basis = getattr(args, "max_basis", None) or caps.basis
+        for dest in ("n", "n_max"):
+            n = getattr(args, dest, None)
+            if n is not None and not 1 <= n <= MAX_FILE_N:
+                raise UsageError(f"--{dest.replace('_', '-')} must be in 1..{MAX_FILE_N}, "
+                                 "the largest n a file may declare")
+        return _COMMANDS[args.command][0](args, caps)
+    except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    caps.pairs = getattr(args, "max_pairs", None) or caps.pairs
-    caps.basis = getattr(args, "max_basis", None) or caps.basis
-    for dest in ("n", "n_max"):
-        n = getattr(args, dest, None)
-        if n is not None and not 1 <= n <= MAX_FILE_N:
-            sys.stderr.write(f"error: --{dest.replace('_', '-')} must be in "
-                             f"1..{MAX_FILE_N}, the largest n a file may declare\n")
-            return EXIT_USAGE
-    command = _COMMANDS[args.command][0]
-    try:
-        return command(args, caps)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         if exc.stats is not None:
@@ -454,10 +447,7 @@ def main(argv=None) -> int:
     except EngineDisagreementError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VERIFY
-    except VanishingInputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:  # commands catch their own read errors
+    except OSError as exc:  # reads go through _read
         sys.stderr.write(f"error: cannot write output: {exc}\n")
         return EXIT_USAGE
 

@@ -266,7 +266,7 @@ def parse_generator_file(text: str, order: MonomialOrder = DEGLEX) -> GeneratorS
                     valid = value in MODES
                 if not valid:
                     raise ValueError(
-                        f"line {lineno}: bad header field {part!r} (n must be "
+                        f"line {lineno}: bad header field {part[:100]!r} (n must be "
                         f"in 1..{MAX_FILE_N}, mode one of {', '.join(MODES)})")
                 if header.setdefault(key, value) != value:
                     raise ValueError(

@@ -1228,7 +1228,7 @@ def load_basis(text: str) -> GroebnerBasis:
     if not (type(n) is int and 1 <= n <= MAX_FILE_N and mode in MODES
             and isinstance(elements, list) and elements):
         raise BasisFormatError(
-            f"bad basis dump header: n={n!r}, mode={mode!r}, "
+            f"bad basis dump header: n={n!r:.100}, mode={mode!r:.100}, "
             f"{len(elements) if isinstance(elements, list) else 'no'} elements")
     nvars = 3 * n
     max_exp = 1 if mode == BOOLEAN else float("inf")

@@ -352,5 +352,5 @@ def load_solutions(text: str) -> SolutionSet:
     for p, above in zip(masks, masks[1:] + [1 << 3 * n]):
         if p >= above:
             raise SolutionFormatError(
-                f"solution mask {p:x} is outside F2^{3 * n} or repeated")
+                f"solution mask {format(p, 'x')[:100]} is outside F2^{3 * n} or repeated")
     return SolutionSet(_columns(masks, 3 * n), count, n)

@@ -115,7 +115,7 @@ class MonomialOrder:
 
     def __init__(self, scheme: str):
         if scheme not in (self.DEGLEX, self.DEGREVLEX):
-            raise ValueError(f"unknown order scheme: {scheme!r}")
+            raise ValueError(f"unknown order scheme: {scheme!r:.100}")
         self.scheme = scheme
 
     def key(self, m):
@@ -158,6 +158,8 @@ class Polynomial:
     def __init__(self, terms: Iterable, nvars: int, mode: str = FULL):
         if mode not in MODES:
             raise ValueError(f"unknown mode: {mode!r}")
+        if nvars < 3 or nvars % 3:
+            raise ValueError(f"a ring has 3n variables with n >= 1, got nvars={nvars}")
         terms = frozenset(terms)
         for m in terms:
             if len(m) != nvars:
@@ -405,8 +407,11 @@ def parse_poly(text: str, n: int, mode: str = FULL) -> Polynomial:
     """Parse polynomial text for the ring with n blocks (3n variables).
 
     Repeated terms cancel mod 2, '-' is treated as '+', and in boolean
-    mode exponents collapse to 1 (v^k = v in the quotient).
+    mode exponents collapse to 1 (v^k = v in the quotient).  Raises
+    ValueError unless n >= 1.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     nvars = num_vars(n)
     parts = _SPLIT(text)
     parts.append("")  # the end of the text closes the last term

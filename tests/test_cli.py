@@ -813,3 +813,58 @@ def test_out_onto_directory_leaves_no_temp_file(tmp_path, capsys):
     assert rc == 2
     assert stderr.startswith("error: ")
     assert [p.name for p in tmp_path.iterdir()] == ["x.gens"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gb", "{directory}"],
+    ["nf", "x1", "{directory}"],
+    ["member", "x1", "{directory}"],
+    ["gb", "{undecodable_gens}"],
+    ["nf", "x1", "{undecodable_dump}"],
+])
+def test_unreadable_input_is_one_error_line(tmp_path, capsys, argv):
+    paths = {"directory": tmp_path / "dir", "undecodable_gens": tmp_path / "bytes.gens",
+             "undecodable_dump": tmp_path / "bytes.json"}
+    paths["directory"].mkdir()
+    paths["undecodable_gens"].write_bytes(b"# n=1 mode=full\nx1 + \xff\n")
+    paths["undecodable_dump"].write_bytes(b'{"n": 1, \xff}')
+    rc, stdout, stderr = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+
+
+def test_value_error_after_the_reads_is_not_exit_2(h2_basis_file, monkeypatch):
+    # a fault of the program, not of its input, ends in a traceback
+    import boolgb.cli as cli
+
+    def faulty(f, basis):
+        raise ValueError("fault past the reads")
+
+    monkeypatch.setattr(cli, "normal_form", faulty)
+    with pytest.raises(ValueError, match="fault past the reads"):
+        main(["nf", "x1", h2_basis_file])
+
+
+LONG = "q" * 5000
+
+
+@pytest.mark.parametrize("caps, document", [
+    (f"{LONG}=1", None),
+    (f"pairs={LONG}", None),
+    ("", '{"n": 1, "mode": "full", "order": "%s", "elements": [[[[0, 1]]]]}' % LONG),
+    ("", '{"n": 1, "mode": "%s", "order": "deglex", "elements": [[[[0, 1]]]]}' % LONG),
+    ("", '{"n": [%s], "mode": "full", "order": "deglex", "elements": [[[[0, 1]]]]}'
+     % ", ".join(["1"] * 2000)),
+], ids=["caps-key", "caps-value", "dump-order", "dump-mode", "dump-n"])
+def test_long_outside_input_quotes_at_most_100_characters(tmp_path, capsys, monkeypatch,
+                                                         caps, document):
+    monkeypatch.setenv("BOOLGB_CAPS", caps)
+    path = tmp_path / "long.json"
+    path.write_text(document or dump_basis(GroebnerBasis([parse_poly("x1", 1)], DEGLEX)))
+    rc, stdout, stderr = run(capsys, "nf", "x1", str(path))
+    assert rc == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert len(stderr) < 200

@@ -224,3 +224,9 @@ def test_load_solutions_reads_past_the_enumeration_cap():
 def test_load_solutions_rejects_malformed_dump(text):
     with pytest.raises(SolutionFormatError):
         load_solutions(text)
+
+
+def test_load_solutions_quotes_at_most_100_digits_of_a_mask():
+    with pytest.raises(SolutionFormatError,
+                       match=r"^solution mask f{100} is outside F2\^3 or repeated$"):
+        load_solutions("# n=1 count=1\n" + "f" * 3000 + "\n")

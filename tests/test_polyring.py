@@ -435,6 +435,19 @@ def test_polynomial_rejects_malformed_terms(terms, mode, message):
         Polynomial(terms, 3, mode)
 
 
+@pytest.mark.parametrize("nvars", [-3, 0, 1, 2, 4, 5])
+def test_polynomial_rejects_a_ring_not_of_3n_variables(nvars):
+    # a basis over 4 variables would dump "n": 1 with variable index 3
+    with pytest.raises(ValueError, match=f"3n variables with n >= 1, got nvars={nvars}$"):
+        Polynomial((), nvars)
+
+
+@pytest.mark.parametrize("n", [-1, 0])
+def test_parse_rejects_a_ring_without_blocks(n):
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        parse_poly("1", n)
+
+
 @pytest.mark.parametrize("mode", [FULL, BOOLEAN])
 def test_polynomials_copy_and_pickle(mode):
     f = parse_poly("x1+y1", 1, mode)
