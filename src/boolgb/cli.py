@@ -3,8 +3,10 @@
 Exit codes: 0 all good, 2 bad outside input (a UsageError, which main
 alone prints as one "error: <message>" line), 3 resource limit, 4
 verification failure.  BOOLGB_CAPS=pairs=...,basis=...,points=...
-overrides the default caps; command-line flags override both.  Every cap
-is a positive integer; anything else is a usage error.
+overrides the default caps; command-line flags override both.  A cap,
+--n or --n-max is decimal digits alone within its range, read by
+polyring.read_decimal; anything else is a usage error.  argparse exits 2
+on what it refuses and quotes at most 100 characters of a bad choice.
 """
 
 import argparse
@@ -34,6 +36,7 @@ from .polyring import (
     format_poly,
     get_order,
     parse_poly,
+    read_decimal,
     to_boolean,
     to_full,
 )
@@ -43,42 +46,10 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
-
-class Caps:
-    def __init__(self):
-        self.pairs = groebner.DEFAULT_MAX_PAIRS
-        self.basis = groebner.DEFAULT_MAX_BASIS
-        self.points = oracle.DEFAULT_MAX_BITS
-
-    @classmethod
-    def from_env(cls) -> "Caps":
-        """Caps from BOOLGB_CAPS; raises ValueError on a malformed entry."""
-        caps = cls()
-        raw = os.environ.get("BOOLGB_CAPS", "")
-        for part in raw.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, _, value = part.partition("=")
-            key = key.strip()
-            if key not in ("pairs", "basis", "points"):
-                raise ValueError(f"BOOLGB_CAPS: unknown cap {key[:100]!r}")
-            setattr(caps, key, _positive_int(value.strip(), f"BOOLGB_CAPS {key}"))
-        return caps
-
-
-def _positive_int(text: str, what: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"{what} must be a positive integer, got {text[:100]!r}")
-    return int(text)
-
-
-def _cap_flag(text: str) -> int:
-    """argparse type of the --max-* flags."""
-    try:
-        return _positive_int(text, "cap")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+# the largest cap; points=10^18 lifts the points cap for good
+_MAX_CAP = 10 ** 18
+# the flags that take a number, by dest, and the largest number each takes
+_NUMBER_FLAGS = dict(n=MAX_FILE_N, n_max=MAX_FILE_N, max_pairs=_MAX_CAP, max_basis=_MAX_CAP)
 
 
 class EngineDisagreementError(Exception):
@@ -99,6 +70,29 @@ def _read(load, *args):
         return load(*args)
     except (ValueError, OSError) as exc:
         raise UsageError(exc) from None
+
+
+def _number(text: str, what: str, lo: int, hi: int) -> int:
+    """The integer in lo..hi that outside text spells; else a UsageError."""
+    value = read_decimal(text, lo, hi)
+    if value is None:
+        raise UsageError(f"{what} must be an integer in {lo}..{hi}, got {text[:100]!r}")
+    return value
+
+
+def _caps(args) -> argparse.Namespace:
+    """Each cap from its flag (read by main), else BOOLGB_CAPS, else its
+    default; blanks may separate BOOLGB_CAPS entries, not stand inside one."""
+    caps = {"pairs": groebner.DEFAULT_MAX_PAIRS, "basis": groebner.DEFAULT_MAX_BASIS,
+            "points": oracle.DEFAULT_MAX_BITS}
+    for part in filter(str.strip, os.environ.get("BOOLGB_CAPS", "").split(",")):
+        key, _, value = part.strip().partition("=")
+        if key not in caps:
+            raise UsageError(f"BOOLGB_CAPS: unknown cap {key[:100]!r}")
+        caps[key] = _number(value, f"BOOLGB_CAPS {key}", 1, _MAX_CAP)
+    for key in ("pairs", "basis"):
+        caps[key] = getattr(args, f"max_{key}", None) or caps[key]
+    return argparse.Namespace(**caps)
 
 
 def _atomic_write(path: str, text: str):
@@ -149,7 +143,7 @@ def _boolean_as_full(basis, n, order):
     return interreduce(groebner.GroebnerBasis(lifted, order))
 
 
-def _reduced_basis(F: GeneratorSet, engine: str, caps: Caps):
+def _reduced_basis(F: GeneratorSet, engine: str, caps):
     """Reduced basis and engine stats of (F) under one --engine choice.
 
     'full' works in the full ring (a Boolean F is lifted and gets the
@@ -177,7 +171,7 @@ def _reduced_basis(F: GeneratorSet, engine: str, caps: Caps):
     return basis, stats
 
 
-def _full_basis(F: GeneratorSet, engine: str, caps: Caps):
+def _full_basis(F: GeneratorSet, engine: str, caps):
     """The reduced basis of F in the full ring; a Boolean one is lifted."""
     basis, _ = _reduced_basis(F, engine, caps)
     return _boolean_as_full(basis, F.n, F.order) if engine == "boolean" else basis
@@ -186,7 +180,7 @@ def _full_basis(F: GeneratorSet, engine: str, caps: Caps):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_gen(args, caps: Caps) -> int:
+def cmd_gen(args, caps) -> int:
     F = _read(construction.make_family, args.family, args.n, args.mode, args.order)
     _emit(construction.format_generator_file(F), args.out)
     report = f"family={args.family} n={args.n} count={len(F)}\n"
@@ -194,7 +188,7 @@ def cmd_gen(args, caps: Caps) -> int:
     return EXIT_OK
 
 
-def cmd_gb(args, caps: Caps) -> int:
+def cmd_gb(args, caps) -> int:
     F = _read(construction.load_generators, args.input, args.order)
     basis, stats = _reduced_basis(F, args.engine, caps)
     _emit(dump_basis(basis) + "\n", args.out)
@@ -203,7 +197,7 @@ def cmd_gb(args, caps: Caps) -> int:
     return EXIT_OK
 
 
-def _verify_checks(args, caps: Caps):
+def _verify_checks(args, caps):
     """Run the four identity checks for one n; yields (id, status, detail)."""
     n, order = args.n, args.order
     try:
@@ -274,7 +268,7 @@ def _verify_checks(args, caps: Caps):
         yield ("V4", "SKIPPED", str(exc))
 
 
-def cmd_verify(args, caps: Caps) -> int:
+def cmd_verify(args, caps) -> int:
     results = list(_verify_checks(args, caps))
     if args.fmt == "json":
         payload = [{"check": cid, "status": status, "detail": detail}
@@ -288,7 +282,7 @@ def cmd_verify(args, caps: Caps) -> int:
     return EXIT_OK
 
 
-def _bench_record(n: int, args, caps: Caps) -> dict:
+def _bench_record(n: int, args, caps) -> dict:
     """One growth-table row, keyed by its CSV column and JSON key names."""
     H = construction.make_H(n, FULL, args.order)
     gb_count = None
@@ -317,7 +311,7 @@ def _bench_record(n: int, args, caps: Caps) -> dict:
     }
 
 
-def cmd_bench(args, caps: Caps) -> int:
+def cmd_bench(args, caps) -> int:
     n_max = args.n if args.n_max is None else args.n_max
     if n_max < args.n:
         raise UsageError("--n-max must be >= --n")
@@ -341,14 +335,14 @@ def _load_query(args):
     return basis, parse_poly(args.poly, basis.n, basis.mode)
 
 
-def cmd_nf(args, caps: Caps) -> int:
+def cmd_nf(args, caps) -> int:
     basis, f = _read(_load_query, args)
     r = normal_form(f, basis)
     _emit(format_poly(r, basis.order) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_member(args, caps: Caps) -> int:
+def cmd_member(args, caps) -> int:
     basis, f = _read(_load_query, args)
     member = normal_form(f, basis).is_zero
     line = f"member={'true' if member else 'false'}"
@@ -379,14 +373,14 @@ _ARGUMENTS = {
     "basis": dict(help="basis dump file (JSON)"),
     "--family": dict(choices=("H", "G", "S", "L", "T", "P"), required=True),
     "--mode": dict(choices=(FULL, BOOLEAN), default=FULL),
-    "--n": dict(type=int, required=True, help="block count n >= 1"),
-    "--n-max": dict(type=int, default=None),
+    "--n": dict(required=True, help="block count n >= 1"),
+    "--n-max": dict(),
     "--order": dict(choices=("deglex", "degrevlex"), default="deglex",
                     help="monomial order"),
     "--engine": dict(choices=("full", "boolean", "both"), default="full",
                      help="ring engine"),
-    "--max-pairs": dict(type=_cap_flag, default=None),
-    "--max-basis": dict(type=_cap_flag, default=None),
+    "--max-pairs": dict(),
+    "--max-basis": dict(),
     "--out": dict(default=None, help="output path (atomic write)"),
     "--format": dict(dest="fmt", choices=("text", "json"), default="text"),
     "--oracle": dict(action="store_true", help="cross-check by exhaustive evaluation"),
@@ -409,9 +403,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def _check_value(self, action, value):
+        # no choice is 100 characters long: the cut is refused exactly when
+        # the whole value is, and argparse's "invalid choice" quotes the cut
+        super()._check_value(action, value[:100])
+
+
 @functools.cache  # built once per process: a build costs about a millisecond
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boolgb",
         description="Groebner bases over F2: the 4n+1 -> 6n+3^n blowup harness.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -427,14 +428,11 @@ def main(argv=None) -> int:
     if hasattr(args, "order"):
         args.order = get_order(args.order)
     try:
-        caps = _read(Caps.from_env)
-        caps.pairs = getattr(args, "max_pairs", None) or caps.pairs
-        caps.basis = getattr(args, "max_basis", None) or caps.basis
-        for dest in ("n", "n_max"):
-            n = getattr(args, dest, None)
-            if n is not None and not 1 <= n <= MAX_FILE_N:
-                raise UsageError(f"--{dest.replace('_', '-')} must be in 1..{MAX_FILE_N}, "
-                                 "the largest n a file may declare")
+        for dest, hi in _NUMBER_FLAGS.items():
+            text = getattr(args, dest, None)
+            if text is not None:
+                setattr(args, dest, _number(text, "--" + dest.replace("_", "-"), 1, hi))
+        caps = _caps(args)
         return _COMMANDS[args.command][0](args, caps)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

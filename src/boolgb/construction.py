@@ -36,6 +36,7 @@ from .polyring import (
     mono_var,
     num_vars,
     parse_poly,
+    read_decimal,
 )
 
 # P(n) has 3^n elements; refuse to materialize beyond this block count.
@@ -258,10 +259,8 @@ def parse_generator_file(text: str, order: MonomialOrder = DEGLEX) -> GeneratorS
                 if not sep or key not in ("n", "mode"):
                     continue
                 if key == "n":
-                    # out of range past 9 digits, so int() never meets
-                    # Python's limit on the digits it converts
-                    value = int(value) if value.isdecimal() and len(value) < 10 else 0
-                    valid = 1 <= value <= MAX_FILE_N
+                    value = read_decimal(value, 1, MAX_FILE_N)
+                    valid = value is not None
                 else:
                     valid = value in MODES
                 if not valid:
@@ -270,7 +269,7 @@ def parse_generator_file(text: str, order: MonomialOrder = DEGLEX) -> GeneratorS
                         f"in 1..{MAX_FILE_N}, mode one of {', '.join(MODES)})")
                 if header.setdefault(key, value) != value:
                     raise ValueError(
-                        f"line {lineno}: header field {part!r} disagrees with "
+                        f"line {lineno}: header field {part[:100]!r} disagrees with "
                         f"the first header ({key}={header[key]})")
             continue
         body = raw.split("#", 1)[0].strip()

@@ -23,7 +23,7 @@ enumerator counts standard monomials (`construction.count_standard_monomials`).
 from itertools import chain, compress, repeat
 
 from .groebner import MAX_FILE_N, GeneratorSet, GroebnerBasis, normal_form
-from .polyring import BOOLEAN, FULL, Polynomial, mono_var
+from .polyring import BOOLEAN, FULL, Polynomial, mono_var, read_decimal
 
 DEFAULT_MAX_BITS = 24  # enumeration cap: at most 2^24 live candidates
 
@@ -338,11 +338,10 @@ def load_solutions(text: str) -> SolutionSet:
     dumps) and then k distinct hex masks below 2^(3n)."""
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     header = [field.partition("=") for field in lines[0].split()] if lines else []
-    if ([key for key, _, _ in header] != ["#", "n", "count"]
-            or not all(value.isdecimal() and len(value) < 10  # n, k < 10^9
-                       for _, _, value in header[1:])):
+    values = [read_decimal(value, 0, 10 ** 9 - 1) for _, _, value in header[1:]]
+    if [key for key, _, _ in header] != ["#", "n", "count"] or None in values:
         raise SolutionFormatError("solution dump lacks its '# n=<n> count=<k>' header")
-    n, count = (int(value) for _, _, value in header[1:])
+    n, count = values
     if not 1 <= n <= MAX_FILE_N:
         raise SolutionFormatError(f"solution dump n={n} is outside 1..{MAX_FILE_N}")
     if len(lines) - 1 != count or any(m.strip("0123456789abcdefABCDEF") for m in lines[1:]):

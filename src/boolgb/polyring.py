@@ -317,6 +317,19 @@ def to_full(f: Polynomial) -> Polynomial:
 # (str.isdecimal, the digits int() reads); a run longer than int()
 # converts is a ParseError.
 
+def read_decimal(text: str, lo: int, hi: int):
+    """The integer that text spells if it lies in lo..hi, else None: the
+    one reader of numbers in outside input.  text is decimal digits alone,
+    as in the grammar; leading zeros are dropped, so int() sees at most as
+    many digits as hi has."""
+    if text.isdecimal():
+        # int() of one digit is its value, in any script
+        digits = text[next((i for i, c in enumerate(text) if int(c)), len(text) - 1):]
+        if len(digits) <= len(str(hi)) and lo <= (value := int(digits)) <= hi:
+            return value
+    return None
+
+
 def format_mono(m) -> str:
     if not any(m):
         return "1"

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from boolgb import buchberger, get_order, interreduce, make_H
+from boolgb.cli import _boolean_as_full
 
 
 @pytest.fixture(scope="session")
@@ -22,5 +23,18 @@ def reduced_h():
             basis = interreduce(raw)
             cache[key] = (basis, time.perf_counter() - start)
         return cache[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def boolean_lifted_basis():
+    """The Boolean engine's reduced basis, lifted as `--engine both` lifts it.
+
+    Returns a callable get(n, F_bool) -> GroebnerBasis.
+    """
+    def get(n, F_bool):
+        raw, _ = buchberger(F_bool)
+        return _boolean_as_full(interreduce(raw), n, F_bool.order)
 
     return get

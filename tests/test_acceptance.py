@@ -40,7 +40,7 @@ from boolgb import (
     solution_sets_equal,
     to_full,
 )
-from boolgb.cli import _boolean_as_full, main as cli_main
+from boolgb.cli import main as cli_main
 from test_polyring import random_poly
 
 
@@ -207,19 +207,13 @@ def test_oracle_algebra_equivalence(reduced_h):
             assert agree == 200, (n, agree)
 
 
-def _via_boolean_engine(F_bool, n, order):
-    """The Boolean engine's reduced basis, lifted as `--engine both` lifts it."""
-    raw, _ = buchberger(F_bool)
-    return _boolean_as_full(interreduce(raw), n, order)
-
-
-def test_engine_cross_validation(reduced_h):
+def test_engine_cross_validation(reduced_h, boolean_lifted_basis):
     """Boolean-engine bases, lifted and joined with the field polynomials,
     match full-engine bases: H(n) for n=2..4 and 50 random systems."""
     with report("engine cross-validation: H n=2..4 plus 50 random systems"):
         for n in (2, 3, 4):
             full_basis, _ = reduced_h(n)
-            via_bool = _via_boolean_engine(make_H(n, mode=BOOLEAN), n, DEGLEX)
+            via_bool = boolean_lifted_basis(n, make_H(n, mode=BOOLEAN))
             assert via_bool.as_set() == full_basis.as_set(), n
 
         rng = random.Random(103)
@@ -235,7 +229,7 @@ def test_engine_cross_validation(reduced_h):
             F_full = GeneratorSet([to_full(g) for g in gens] + list(make_S(n)),
                                   DEGLEX)
             full_red = interreduce(buchberger(F_full)[0])
-            assert _via_boolean_engine(F_bool, n, DEGLEX).as_set() == full_red.as_set()
+            assert boolean_lifted_basis(n, F_bool).as_set() == full_red.as_set()
             checked += 1
 
 

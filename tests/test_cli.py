@@ -12,8 +12,10 @@ import pytest
 from boolgb import (
     DEGLEX,
     GroebnerBasis,
+    SolutionFormatError,
     dump_basis,
     load_basis,
+    load_solutions,
     make_G,
     make_H,
     make_S,
@@ -21,6 +23,7 @@ from boolgb import (
     save_generators,
 )
 from boolgb.cli import main
+from boolgb.construction import parse_generator_file
 
 
 def run(capsys, *argv):
@@ -461,6 +464,21 @@ def test_format_csv_exits_2(capsys, command):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--order"],
+    ["bench", "--n", "2", "--engine"],
+    ["gen", "--n", "1", "--family"],
+    ["gen", "--family", "L", "--n", "1", "--mode"],
+    ["verify", "--n", "2", "--format"],
+    [],
+], ids=["order", "engine", "family", "mode", "format", "command"])
+def test_invalid_choice_quotes_at_most_100_characters(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "q" * 3000])
+    assert err.value.code == 2
+    assert f"invalid choice: {'q' * 100!r} (choose from " in capsys.readouterr().err
+
+
 def test_verify_reports_v4_when_v3_hits_the_pair_cap(capsys, monkeypatch):
     monkeypatch.setenv("BOOLGB_CAPS", "pairs=10")
     rc, stdout, _ = run(capsys, "verify", "--n", "2")
@@ -669,10 +687,9 @@ def test_malformed_caps_env_exit_2(tmp_path, capsys, monkeypatch, caps):
 
 @pytest.mark.parametrize("value", ["0", "-3", "many"])
 def test_nonpositive_cap_flag_exit_2(tmp_path, capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["gb", write_h(tmp_path, 2), "--max-pairs", value])
-    assert exc.value.code == 2
-    assert "--max-pairs" in capsys.readouterr().err
+    rc, _, stderr = run(capsys, "gb", write_h(tmp_path, 2), "--max-pairs", value)
+    assert rc == 2
+    assert "--max-pairs" in stderr
 
 
 @pytest.mark.parametrize("command", ["gb", "verify", "bench"])
@@ -868,3 +885,84 @@ def test_long_outside_input_quotes_at_most_100_characters(tmp_path, capsys, monk
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
     assert len(stderr) < 200
+
+
+# Every number read from outside text, by site.  A CLI site is the
+# BOOLGB_CAPS entry (with "{}" for the text) or the argv tail the text
+# follows, and the value main hands the command.  A header site reads
+# (text, value) into the value, given the masks a count of value needs,
+# and refuses with the error and message here.
+CLI_NUMBERS = {
+    "BOOLGB_CAPS pairs": ("pairs={}", ["--n", "1"], lambda args, caps: caps.pairs),
+    "BOOLGB_CAPS basis": ("basis={}", ["--n", "1"], lambda args, caps: caps.basis),
+    "BOOLGB_CAPS points": ("points={}", ["--n", "1"], lambda args, caps: caps.points),
+    "--max-pairs": ("", ["--n", "1", "--max-pairs"], lambda args, caps: caps.pairs),
+    "--max-basis": ("", ["--n", "1", "--max-basis"], lambda args, caps: caps.basis),
+    "--n": ("", ["--n"], lambda args, caps: args.n),
+    "--n-max": ("", ["--n", "1", "--n-max"], lambda args, caps: args.n_max),
+}
+HEADER_NUMBERS = {
+    "generator header n": (
+        lambda text, value: parse_generator_file(f"# n={text} mode=full\nx1\n").n,
+        ValueError, "^line 1: bad header field 'n="),
+    "solution header n": (
+        lambda text, value: load_solutions(f"# n={text} count=0\n").n,
+        SolutionFormatError, "^solution dump (lacks its|n=.* is outside)"),
+    "solution header count": (
+        lambda text, value: load_solutions(
+            f"# n=1 count={text}\n" + "".join(f"{p}\n" for p in range(value))).count,
+        SolutionFormatError, "^solution dump lacks its"),
+}
+SITES = [*CLI_NUMBERS, *HEADER_NUMBERS]
+N_SITES = ["--n", "--n-max", "generator header n", "solution header n"]
+CAP_SITES = [site for site in CLI_NUMBERS if site not in N_SITES]
+REFUSED_NUMBERS = (
+    [(site, text) for site in SITES for text in ["", "-3", "+2", " 2", "1_0", "9" * 5000]]
+    + [(site, "0") for site in SITES if site != "solution header count"]
+    + [(site, "1001") for site in N_SITES])
+# leading zeros and digits of any script, up to each site's bound
+ACCEPTED_NUMBERS = (
+    [(site, text, value) for site in SITES
+     for text, value in [("0002", 2), ("0" * 5000 + "2", 2), ("\u0662", 2),
+                         ("\u0660" * 30 + "\u0663", 3)]]
+    + [(site, "1000", 1000) for site in N_SITES]
+    + [(site, "1000000000000000000", 10 ** 18) for site in CAP_SITES])
+
+
+def read_cli_number(monkeypatch, capsys, site, text):
+    """(exit code, stderr, values handed on) for text at a CLI site; a
+    recorder stands in for the command."""
+    import boolgb.cli as cli
+    entry, argv, value_of = CLI_NUMBERS[site]
+    seen = []
+    _, help_text, arguments = cli._COMMANDS["bench"]
+    monkeypatch.setitem(cli._COMMANDS, "bench", (
+        lambda args, caps: seen.append(value_of(args, caps)) or 0, help_text, arguments))
+    monkeypatch.setenv("BOOLGB_CAPS", entry.format(text))
+    rc, _, stderr = run(capsys, "bench", *argv, *([] if entry else [text]))
+    return rc, stderr, seen
+
+
+@pytest.mark.parametrize("site, text", REFUSED_NUMBERS,
+                         ids=[f"{site}-{text[:8]!r}" for site, text in REFUSED_NUMBERS])
+def test_every_outside_number_refuses_what_is_not_digits_in_range(
+        monkeypatch, capsys, site, text):
+    if site in CLI_NUMBERS:
+        rc, stderr, seen = read_cli_number(monkeypatch, capsys, site, text)
+        assert (rc, seen) == (2, [])
+        assert stderr.startswith(f"error: {site} must be an integer in ")
+        assert stderr.count("\n") == 1 and len(stderr.encode()) < 200
+    else:
+        read, error, message = HEADER_NUMBERS[site]
+        with pytest.raises(error, match=message) as info:
+            read(text, 0)
+        assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("site, text, value", ACCEPTED_NUMBERS,
+                         ids=[f"{site}-{text[-8:]!r}" for site, text, _ in ACCEPTED_NUMBERS])
+def test_every_outside_number_reads_decimal_digits(monkeypatch, capsys, site, text, value):
+    if site in CLI_NUMBERS:
+        assert read_cli_number(monkeypatch, capsys, site, text) == (0, "", [value])
+    else:
+        assert HEADER_NUMBERS[site][0](text, value) == value

@@ -305,6 +305,13 @@ def test_generator_file_bad_header_n_names_its_line(header):
     assert len(str(info.value)) < 200
 
 
+def test_generator_file_disagreeing_header_quotes_at_most_100_characters():
+    # leading zeros are read as nothing, so a field of any length can name n = 2
+    with pytest.raises(ValueError, match="^line 2: header field 'n=0{98}' disagrees") as info:
+        parse_generator_file("# n=1 mode=full\n# n=" + "0" * 5000 + "2\nx1\n")
+    assert len(str(info.value)) < 200
+
+
 def test_generators_text_matches_bitsize_definition():
     F = make_H(1)
     text = generators_text(F)

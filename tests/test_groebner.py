@@ -42,7 +42,6 @@ from boolgb import (
     to_full,
 )
 from boolgb import groebner
-from boolgb.cli import _boolean_as_full
 from test_packing import CASES, chain_systems, random_monomials
 from test_polyring import random_poly
 
@@ -489,13 +488,7 @@ def test_uniqueness_under_generator_permutation():
 # ---------------------------------------------------------------------------
 # boolean engine and mode consistency
 
-def boolean_lifted_basis(n, F_bool):
-    """The Boolean engine's reduced basis, lifted as `--engine both` lifts it."""
-    raw, _ = buchberger(F_bool)
-    return _boolean_as_full(interreduce(raw), n, F_bool.order)
-
-
-def test_mode_consistency_on_h():
+def test_mode_consistency_on_h(boolean_lifted_basis):
     for n in (1, 2, 3):
         full_raw, _ = buchberger(make_H(n))
         full_red = interreduce(full_raw)
@@ -503,7 +496,7 @@ def test_mode_consistency_on_h():
         assert via_boolean.as_set() == full_red.as_set()
 
 
-def test_mode_consistency_random_systems():
+def test_mode_consistency_random_systems(boolean_lifted_basis):
     rng = random.Random(53)
     for _ in range(10):
         n = rng.randint(1, 3)
